@@ -1,6 +1,6 @@
 PY := PYTHONPATH=src python
 
-.PHONY: test lint lint-fast lint-baseline bench bench-lint bench-parallel bench-stream bench-sweep bench-vector smoke-batch smoke-mux smoke-parallel smoke-scenario smoke-stream smoke-sweep regress regress-record
+.PHONY: test lint lint-fast lint-baseline bench bench-lint bench-parallel bench-stream bench-sweep bench-vector smoke-mux smoke-parallel smoke-scenario smoke-stream smoke-sweep regress regress-record
 
 test:
 	$(PY) -m pytest -x -q
@@ -88,12 +88,6 @@ bench-vector:
 	$(PY) -m pytest benchmarks/test_bench_vector.py \
 		--benchmark-only --benchmark-json=BENCH_vector.json
 
-# Quick end-to-end sanity check of the batched path: the receiver grid
-# forced through the trial-major runner in one process (the adaptive
-# executor's batched-serial lane; records are bit-identical to scalar).
-smoke-batch:
-	$(PY) -m repro sweep receiver-grid --jobs 1 --batch on
-
 # Quick end-to-end sanity check of the fleet multiplexer: a tiny
 # 32-stream mixed fleet (covert + keylog + clockmod) through the
 # batched cross-stream DSP tick, finalised decodes checked against the
@@ -109,15 +103,16 @@ smoke-parallel:
 
 # Quick end-to-end sanity check of the sweep engine: the eight-config
 # receiver grid planned along the chain-cache key DAG and executed
-# across two workers (shared capture travels by cache key).
+# through the batched lane (sharded by power root when two workers
+# are available, in-process otherwise).
 smoke-sweep:
 	$(PY) -m repro sweep receiver-grid --jobs 2
 
 # Quick end-to-end sanity check of the scenario plugin framework: the
 # two related-attack plugins re-run against their committed metric
 # baselines, then the conformance suite over every registered scenario
-# (determinism, order invariance, batch equivalence, chain-key
-# coherence, RNG isolation - see DESIGN.md section 15).
+# (determinism, order invariance, chain-key coherence, RNG isolation -
+# see DESIGN.md section 15).
 smoke-scenario:
 	$(PY) -m repro regress --scenario scenario-ichannels-tiny \
 		--scenario scenario-clockmod-tiny

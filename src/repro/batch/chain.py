@@ -1,35 +1,34 @@
-"""Trial-major resolution of the analog chain for a batch of trials.
+"""The analog chain resolver: one implementation for one trial or N.
 
-:func:`render_captures_batched` is the batched counterpart of
-:func:`repro.chain.render_capture` for N trials at once.  It walks the
-same layered key chain (power -> burst -> dither -> emit -> capture),
-but *across the whole batch*: every distinct stage node is probed once,
-the missing nodes of each layer are computed together - grouped through
-the trial-major kernels of :mod:`repro.batch.kernels` - and members
-share the node's value and RNG exit state exactly as a cache hit would
-(deduplication is a virtual hit: same key, same bytes, same exit
-state).
+:func:`render_captures_batched` is the only code that computes the
+chain's stages (PMU -> VRM -> dither -> emission -> propagation -> SDR);
+:func:`repro.chain.render_capture` and :func:`repro.chain.render_emission`
+call it with a batch of one.  It walks the layered key chain (power ->
+burst -> dither -> emit -> capture) *across the whole batch*: every
+distinct stage node is probed once, the missing nodes of each layer are
+computed together - grouped through the trial-major kernels of
+:mod:`repro.batch.kernels` - and members share the node's value and RNG
+exit state exactly as a cache hit would (deduplication is a virtual
+hit: same key, same bytes, same exit state).
 
-Observability parity is part of the bit-identity contract.  The scalar
-engine's traces and metrics are pinned by tests and recorded baselines,
-so this module emits the *same* stage spans (one per computed node,
-with the same attrs and RNG digests), the same ``stage`` hit events
-where the scalar path would replay a cache hit, the same metric taps
-the same number of times, and the same ``sweep.warm`` events /
-``sweep.group`` spans for the planner's warm nodes.  The only additions
-are the ``batch.*`` spans and metrics, which no baseline pins.
+Stampede control: each layer's pending nodes are computed under their
+per-key cache locks, taken in sorted key order.  After taking a lock
+the node is re-probed; a value another process published meanwhile is
+served (RNG exit state restored, ``cache.stampede_avoided`` traced)
+instead of recomputed.  With a memory-only cache the locks are no-ops.
 
-The replay rule that makes hit events line up: a consumer emits a
-``stage`` hit for a lower node iff that node came from the cache or is
-*shared* (a planner warm node) - an unshared node is computed "inline"
-on behalf of its sole consumer, which is how the scalar chain
-attributes it.
+Observability follows one rule.  A node emits its stage span (and its
+metric taps) when it is computed, and one ``stage`` hit event when it
+is served from the cache.  A trial whose capture was not computed on
+its behalf - a cache hit, or a node another trial in the batch
+computed - taps its activity and capture once.
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -40,13 +39,14 @@ from ..chain import (
 )
 from ..exec.timing import stage
 from ..obs.metrics import (
+    get_metrics,
     tap_activity,
     tap_bursts,
     tap_capture,
     tap_emission,
     tap_propagation,
 )
-from ..obs.trace import key_prefix, span, trace_event
+from ..obs.trace import key_prefix, span, trace_event, tracing_active
 from ..power.pmu import PMU
 from ..sdr.rtlsdr import RtlSdrV3
 from ..types import IQCapture
@@ -64,7 +64,11 @@ from .kernels import (
 @dataclass
 class ChainRequest:
     """One trial's chain inputs, with the RNG as a state (not a live
-    generator), so a request is inert until its node computes."""
+    generator), so a request is inert until its node computes.
+
+    ``scenario`` is None (and ``keys.capture`` too) for an
+    emission-only request, which resolves to the emitted waveform.
+    """
 
     machine: object
     activity: object
@@ -79,13 +83,15 @@ class ChainRequest:
 
 @dataclass
 class ResolvedCapture:
-    """What one request gets back: the capture, where it came from
-    (``cache`` / ``computed``), and the chain's RNG exit state."""
+    """What one request gets back: the capture (or, for an
+    emission-only request, the waveform in ``emission``), where it came
+    from (``cache`` / ``computed``), and the chain's RNG exit state."""
 
-    capture: IQCapture
+    capture: Optional[IQCapture]
     key: Optional[str]
     source: str
     exit_state: dict
+    emission: Optional[np.ndarray] = None
 
 
 class _Node:
@@ -107,121 +113,133 @@ def _generator(state: dict) -> np.random.Generator:
     return rng
 
 
-def _probe(cache, node: _Node) -> bool:
-    if cache is None:
-        return False
-    hit = cache.get(node.key)
-    if hit is None:
-        return False
+def _serve(node: _Node, hit, stage_name: str) -> None:
+    """Take a cached (value, exit state) and trace the hit."""
     node.value, node.exit_state = hit
     node.source = "cache"
-    return True
-
-
-def _put(cache, node: _Node) -> None:
-    if cache is not None:
-        cache.put(node.key, (node.value, node.exit_state))
-
-
-def _replays(node: Optional[_Node], warmed: Mapping[str, int]) -> bool:
-    """Does a consumer replay this lower node as a hit event?
-
-    True when the scalar path would have found it in the cache: either
-    it really was cached, or it is a shared (warmed) node the scalar
-    warm phase computes before any consumer runs.
-    """
-    if node is None:
-        return False
-    return node.source == "cache" or node.key in warmed
+    if tracing_active():
+        _stage_hit(stage_name, node.key, _generator(node.exit_state))
 
 
 def render_captures_batched(
     requests: Sequence[ChainRequest],
-    warmed: Optional[Mapping[str, int]] = None,
-    emit_warm_events: bool = False,
 ) -> List[ResolvedCapture]:
-    """Resolve every request's capture, computing each distinct stage
-    node exactly once and batching each layer's misses through the
-    trial-major kernels.
+    """Resolve every request's capture (or emission), computing each
+    distinct stage node exactly once and batching each layer's misses
+    through the trial-major kernels.
 
-    Parameters
-    ----------
-    requests:
-        The batch.  Requests sharing a stage key must (by key
-        construction) agree on that stage's inputs and RNG entry state.
-    warmed:
-        ``{key: fan_out}`` of the planner's warm nodes (shared
-        vrm/emission/capture nodes with a pending member).  These are
-        force-resolved even when a higher layer hits, and each gets a
-        ``sweep.group`` span - matching the scalar engine's warm phase.
-    emit_warm_events:
-        Also emit the per-stage ``sweep.warm`` trace events (the
-        engine's warm-phase announcements).
+    Requests sharing a stage key must (by key construction) agree on
+    that stage's inputs and RNG entry state.
     """
     from ..exec.cache import get_chain_cache
 
-    warmed = dict(warmed or {})
     cache = get_chain_cache()
-
     with span("batch.chain", {"requests": len(requests)}):
-        return _resolve(requests, warmed, emit_warm_events, cache)
+        return _resolve(requests, cache)
 
 
-def _resolve(requests, warmed, emit_warm_events, cache):
+def _resolve(requests, cache):
     # ---- layer tables: one node per distinct key ----------------------
     captures: Dict[str, _Node] = {}
     emissions: Dict[str, _Node] = {}
     dithers: Dict[str, _Node] = {}
     bursts: Dict[str, _Node] = {}
 
-    def node_for(table, key, req):
-        if key not in table:
-            table[key] = _Node(key, req)
-        return table[key]
+    def want(table, stage_name, key, req) -> bool:
+        """Register the node; True when it is already resolved."""
+        node = table.get(key)
+        if node is None:
+            node = table[key] = _Node(key, req)
+            hit = cache.get(key) if cache is not None else None
+            if hit is not None:
+                _serve(node, hit, stage_name)
+        return node.source is not None
 
+    # ---- probe top-down: a hit covers every layer beneath it ----------
     for req in requests:
-        if req.keys.capture is None:
-            raise ValueError("batched rendering needs a scenario per trial")
-        node_for(captures, req.keys.capture, req)
+        keys = req.keys
+        if keys.capture is not None and want(captures, "sdr", keys.capture, req):
+            continue
+        if want(emissions, "emission", keys.emit, req):
+            continue
+        if req.vrm_dithering is not None and want(
+            dithers, "dither", keys.dither, req
+        ):
+            continue
+        want(bursts, "vrm", keys.burst, req)
 
-    # ---- probe top-down, seeding lower layers from misses -------------
-    for node in captures.values():
-        _probe(cache, node)
+    # ---- compute bottom-up, one locked layer at a time ----------------
+    layers = (
+        ("vrm", bursts, lambda nodes: _compute_bursts(nodes, cache)),
+        ("dither", dithers, lambda nodes: _compute_dithers(nodes, bursts, cache)),
+        (
+            "emission",
+            emissions,
+            lambda nodes: _compute_emissions(nodes, dithers, bursts, cache),
+        ),
+        ("sdr", captures, lambda nodes: _compute_captures(nodes, emissions, cache)),
+    )
+    for stage_name, table, compute in layers:
+        _compute_layer(cache, stage_name, table, compute)
 
-    def want_emission(req):
-        node = node_for(emissions, req.keys.emit, req)
-        return node
-
-    def want_bursts_chain(req):
-        # Burst (and optional dither) nodes an emission compute needs.
-        if req.vrm_dithering is not None:
-            node_for(dithers, req.keys.dither, req)
-        node_for(bursts, req.keys.burst, req)
-
-    for node in captures.values():
-        if node.source is None:
-            want_emission(node.req)
-    # The planner's warm nodes are force-resolved at their own layer,
-    # exactly as the scalar warm phase runs each one regardless of what
-    # higher layers have cached.
+    resolved = []
     for req in requests:
-        if req.keys.emit in warmed:
-            want_emission(req)
-        if req.keys.burst in warmed:
-            node_for(bursts, req.keys.burst, req)
+        emission_only = req.keys.capture is None
+        if emission_only:
+            node = emissions[req.keys.emit]
+            tap_activity(req.activity)
+        else:
+            node = captures[req.keys.capture]
+            if node.source != "computed" or node.req is not req:
+                tap_activity(req.activity)
+                tap_capture(node.value, adc_bits=8)
+        resolved.append(
+            ResolvedCapture(
+                capture=None if emission_only else node.value,
+                key=node.key if cache is not None else None,
+                source=node.source,
+                exit_state=node.exit_state,
+                emission=node.value if emission_only else None,
+            )
+        )
+    return resolved
 
-    for node in emissions.values():
-        if not _probe(cache, node) and node.source is None:
-            want_bursts_chain(node.req)
-    for node in dithers.values():
-        if not _probe(cache, node):
-            node_for(bursts, node.req.keys.burst, node.req)
-    for node in bursts.values():
-        _probe(cache, node)
 
-    # ---- vrm phase: compute missing burst nodes -----------------------
-    if emit_warm_events:
-        _warm_announce("vrm", bursts, warmed)
+def _compute_layer(cache, stage_name, table, compute) -> None:
+    """Compute one layer's pending nodes under their stampede locks,
+    serving any node a concurrent process published meanwhile, then
+    publish the rest before releasing the locks."""
+    pending = [n for n in table.values() if n.source is None]
+    if not pending:
+        return
+    with ExitStack() as stack:
+        if cache is not None:
+            for node in sorted(pending, key=lambda n: n.key):
+                if stack.enter_context(cache.lock(node.key)):
+                    hit = cache.reprobe(node.key)
+                    if hit is not None:
+                        _stampede_avoided(node, hit, stage_name)
+            pending = [n for n in pending if n.source is None]
+        compute(pending)
+        for node in pending:
+            node.source = "computed"
+            if cache is not None:
+                cache.put(node.key, (node.value, node.exit_state))
+
+
+def _stampede_avoided(node: _Node, hit, stage_name: str) -> None:
+    trace_event(
+        "cache.stampede_avoided", key=key_prefix(node.key), stage=stage_name
+    )
+    registry = get_metrics()
+    if registry is not None:
+        registry.counter("cache.stampede_avoided").inc()
+    _serve(node, hit, stage_name)
+
+
+def _compute_bursts(nodes, cache) -> None:
+    """PMU + VRM per node: power-state trace (itself cached under the
+    power key), then the raw burst train."""
     table_memo: Dict[tuple, object] = {}
 
     def power_table(machine, allow_c, allow_p):
@@ -233,9 +251,7 @@ def _resolve(requests, warmed, emit_warm_events, cache):
         return table_memo[memo_key]
 
     vid = VidInterface()
-    for node in bursts.values():
-        if node.source is not None:
-            continue
+    for node in nodes:
         req = node.req
         rng = _generator(req.entry_state)
         k_power = req.keys.power if cache is not None else None
@@ -270,89 +286,40 @@ def _resolve(requests, warmed, emit_warm_events, cache):
             buck = BuckConverter(req.machine.buck_design(req.profile), rng=rng)
             node.value = buck.simulate(load, realized_v)
         node.exit_state = rng.bit_generator.state
-        node.source = "computed"
-        _put(cache, node)
-    if emit_warm_events:
-        _warm_groups("vrm", bursts, warmed)
 
-    # ---- dither phase -------------------------------------------------
-    for node in dithers.values():
-        if node.source is not None:
-            continue
+
+def _compute_dithers(nodes, bursts, cache) -> None:
+    """The Section VI spread-spectrum countermeasure over each raw train."""
+    for node in nodes:
         req = node.req
         burst_node = bursts[req.keys.burst]
         rng = _generator(burst_node.exit_state)
-        if _replays(burst_node, warmed):
-            _stage_hit("vrm", burst_node.key, rng)
         k_dither = node.key if cache is not None else None
         with stage("dither"), _stage_span("dither", k_dither, rng):
             node.value = req.vrm_dithering.apply(
                 burst_node.value, rng, time_scale=req.profile.time_scale
             )
         node.exit_state = rng.bit_generator.state
-        node.source = "computed"
-        _put(cache, node)
-
-    # ---- emission phase: per-node deposits, grouped synthesis ---------
-    if emit_warm_events:
-        _warm_announce("emission", emissions, warmed)
-    _compute_emissions(emissions, dithers, bursts, warmed, cache)
-    if emit_warm_events:
-        _warm_groups("emission", emissions, warmed)
-
-    # ---- capture phase: per-node noise/propagation, grouped mixing ----
-    if emit_warm_events:
-        _warm_announce("capture", captures, warmed)
-    _compute_captures(captures, emissions, warmed, cache)
-    if emit_warm_events:
-        _warm_groups("capture", captures, warmed)
-
-    return [
-        ResolvedCapture(
-            capture=captures[req.keys.capture].value,
-            key=req.keys.capture if cache is not None else None,
-            source=captures[req.keys.capture].source,
-            exit_state=captures[req.keys.capture].exit_state,
-        )
-        for req in requests
-    ]
 
 
-def _compute_emissions(emissions, dithers, bursts, warmed, cache):
-    """Synthesize every missing emission node: deposits per node (with
-    the scalar ``emission`` span and taps), then one grouped bincount
-    per wave length and one grouped convolution per pulse kernel."""
-    pending = [n for n in emissions.values() if n.source is None]
-    if not pending:
-        return
-    jobs = []  # (node, rng, bursts, emitter)
-    for node in pending:
-        req = node.req
-        if req.vrm_dithering is not None:
-            lower = dithers[req.keys.dither]
-            lower_stage = "dither"
-        else:
-            lower = bursts[req.keys.burst]
-            lower_stage = "vrm"
-        rng = _generator(lower.exit_state)
-        if _replays(lower, warmed):
-            _stage_hit(lower_stage, lower.key, rng)
-        jobs.append(
-            (
-                node,
-                rng,
-                lower.value,
-                EmissionModel(field_gain=req.machine.emission_strength),
-            )
-        )
-
-    # Per-node: the scalar emission span, taps, and deposit arithmetic.
+def _compute_emissions(nodes, dithers, bursts, cache) -> None:
+    """Synthesize every pending emission node: deposits per node (with
+    the ``emission`` span and taps), then one grouped bincount per wave
+    length and one grouped convolution per pulse kernel."""
     deposit_groups: Dict[int, list] = {}  # wave length -> [(node, idx, dep)]
     convolve_groups: Dict[tuple, list] = {}  # (len, kernel) -> [node]
     kernels: Dict[tuple, np.ndarray] = {}
     waves: Dict[str, np.ndarray] = {}
-    for node, rng, train, emitter in jobs:
+    for node in nodes:
         req = node.req
+        if req.vrm_dithering is not None:
+            lower = dithers[req.keys.dither]
+        else:
+            lower = bursts[req.keys.burst]
+        # Synthesis draws nothing: the exit state is the entry state.
+        node.exit_state = lower.exit_state
+        train = lower.value
+        emitter = EmissionModel(field_gain=req.machine.emission_strength)
         sample_rate = req.profile.rf_sample_rate_hz
         if sample_rate <= 0:
             raise ValueError("sample rate must be positive")
@@ -422,36 +389,23 @@ def _compute_emissions(emissions, dithers, bursts, warmed, cache):
         for row, node in zip(shaped, members):
             waves[node.key] = row
 
-    for node, rng, _, _ in jobs:
+    for node in nodes:
         node.value = waves[node.key]
-        # Synthesis draws nothing: the exit state is the entry state,
-        # exactly what the scalar path stores.
-        node.exit_state = rng.bit_generator.state
-        node.source = "computed"
         tap_emission(node.value)
-        _put(cache, node)
 
 
-def _compute_captures(captures, emissions, warmed, cache):
-    """Digitise every missing capture node: noise and propagation per
+def _compute_captures(nodes, emissions, cache) -> None:
+    """Digitise every pending capture node: noise and propagation per
     node (sequential RNG), then grouped mix + decimation, then the AGC
     and quantiser per node."""
-    pending = [n for n in captures.values() if n.source is None]
-    if not pending:
-        return
     groups: Dict[tuple, list] = {}  # downconvert params -> [(node, row)]
     rngs: Dict[str, np.random.Generator] = {}
     sdrs: Dict[str, RtlSdrV3] = {}
-    for node in pending:
+    for node in nodes:
         req = node.req
         emit_node = emissions[req.keys.emit]
         rng = _generator(emit_node.exit_state)
-        # render_emission's entry tap, which every scalar capture
-        # compute passes through.
         tap_activity(req.activity)
-        if _replays(emit_node, warmed):
-            _stage_hit("emission", emit_node.key, rng)
-            tap_emission(emit_node.value)
         wave = emit_node.value
         k_capture = node.key if cache is not None else None
         rf_rate = req.profile.rf_sample_rate_hz
@@ -472,7 +426,7 @@ def _compute_captures(captures, emissions, warmed, cache):
         with stage("sdr"), _stage_span("sdr", k_capture, rng):
             # The SDR's only draw; mixing, decimation and the AGC are
             # deterministic, so deferring them into the grouped kernels
-            # leaves this span's RNG digest scalar-identical.
+            # leaves this span's RNG digest unchanged.
             noisy = antenna_v + sdr.noise_floor * rng.standard_normal(
                 antenna_v.size
             )
@@ -512,56 +466,4 @@ def _compute_captures(captures, emissions, warmed, cache):
                     center_frequency=center,
                 )
                 node.exit_state = rng.bit_generator.state
-                node.source = "computed"
                 tap_capture(node.value, sdr.bits)
-                _put(cache, node)
-
-
-# ---------------------------------------------------------------------------
-# Warm-phase parity
-
-
-def _warm_nodes_for(table, warmed):
-    return [node for node in table.values() if node.key in warmed]
-
-
-def _warm_announce(stage_name, table, warmed):
-    nodes = _warm_nodes_for(table, warmed)
-    if nodes:
-        trace_event("sweep.warm", stage=stage_name, groups=len(nodes))
-
-
-def _warm_groups(stage_name, table, warmed):
-    """Emit one ``sweep.group`` span per warm node of this stage, with
-    the scalar warm worker's cache-hit replays inside.
-
-    A node the batch just computed gets an (almost) empty span - its
-    compute spans were already emitted by the stage phase, exactly as
-    the scalar ``_warm_node``'s nested stage spans are separate flat
-    events.  A node served from cache replays the hit events/taps its
-    scalar warm would have emitted.
-    """
-    for node in _warm_nodes_for(table, warmed):
-        with span(
-            "sweep.group",
-            {
-                "stage": stage_name,
-                "key": key_prefix(node.key),
-                "fan_out": warmed[node.key],
-            },
-        ):
-            rng = _generator(node.exit_state)
-            if stage_name == "emission":
-                # render_emission taps the activity on entry, hit or
-                # miss alike.
-                tap_activity(node.req.activity)
-            if node.source == "cache":
-                if stage_name == "vrm":
-                    _stage_hit("vrm", node.key, rng)
-                elif stage_name == "emission":
-                    _stage_hit("emission", node.key, rng)
-                    tap_emission(node.value)
-                elif stage_name == "capture":
-                    _stage_hit("sdr", node.key, rng)
-                    tap_activity(node.req.activity)
-                    tap_capture(node.value, adc_bits=8)

@@ -1,37 +1,34 @@
-"""Batched sweep execution: plan in, scalar-identical records out.
+"""Batched sweep execution: plan in, per-trial records out.
 
-:func:`run_trials_batched` is the batched-serial counterpart of the
-sweep engine's warm-then-fan-out loop.  One process does all the work,
-but trial-major: the digital half is prepared once per distinct digital
-prefix, every distinct chain node is computed exactly once through the
-grouped kernels (:func:`repro.batch.chain.render_captures_batched`),
-and the receiver tails share one union-of-positions STFT per capture
+:func:`run_trials_batched` is the sweep engine's one execution lane.
+It runs trial-major: the digital half is prepared once per distinct
+digital prefix, every distinct chain node is computed exactly once
+through the grouped kernels
+(:func:`repro.batch.chain.render_captures_batched`), and the receiver
+tails share one union-of-positions STFT per capture
 (:func:`repro.batch.kernels.batched_band_energy`) instead of N
 overlapping sliding FFTs.
 
-The output records are bit-identical to :func:`~repro.sweep.engine.
-run_sweep`'s scalar path - same schema, same decoded-bits digests, same
-RNG exit digests - and the trace/metrics stream matches the scalar
-engine's (stage spans, hit replays, ``sweep.warm`` / ``sweep.group`` /
-``sweep.trial``), plus the ``batch.*`` additions.
+The output records are bit-identical to a naive per-trial
+``link.run`` - same schema, same decoded-bits digests, same RNG exit
+digests - for any partition of the trials into batches.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..chain import _stage_hit
 from ..core.acquisition import Envelope, harmonic_bins
 from ..core.align import align_bits
 from ..core.decoder import BatchDecoder
 from ..dsp.detection import histogram_modes
-from ..obs.metrics import tap_activity, tap_batch_run, tap_capture
+from ..obs.metrics import tap_batch_run
 from ..obs.trace import key_prefix, rng_digest, span
-from ..sweep.plan import SweepPlan, TrialPlan
+from ..sweep.plan import TrialPlan
 from ..sweep.spec import build_link, trial_payload
 from ..sweep.store import STORE_SCHEMA
 from .chain import ChainRequest, ResolvedCapture, render_captures_batched
@@ -51,35 +48,9 @@ def _bits_digest(bits: np.ndarray) -> str:
     return hashlib.sha256(data.tobytes()).hexdigest()[:16]
 
 
-def warm_map(plan: SweepPlan, pending: Sequence[TrialPlan]) -> Dict[str, int]:
-    """The engine's warm set as ``{key: fan_out}``: shared warmable
-    nodes that still have a pending consumer."""
-    pending_ids = {tp.trial_id for tp in pending}
-    return {
-        node.key: len(node.children)
-        for node in plan.warm_nodes()
-        if any(t in pending_ids for t in node.trial_ids)
-    }
-
-
-def run_trials_batched(
-    plan: SweepPlan,
-    pending: Sequence[TrialPlan],
-    warmed: Optional[Dict[str, int]] = None,
-) -> Tuple[List[dict], int]:
-    """Execute every pending trial trial-major; returns the records (in
-    ``pending`` order) and the number of warm groups, mirroring the
-    scalar engine's accounting."""
-    from ..exec.cache import get_chain_cache
-
-    if warmed is None:
-        warmed = warm_map(plan, pending)
-    cache = get_chain_cache()
-    if cache is None:
-        # Without a cache there is no warm phase (dedup still applies -
-        # a shared node computes once and members reuse it virtually).
-        warmed = {}
-
+def run_trials_batched(pending: Sequence[TrialPlan]) -> List[dict]:
+    """Execute every pending trial trial-major; returns the records in
+    ``pending`` order."""
     # ---- digital half, once per distinct prefix -----------------------
     links = {tp.trial_id: build_link(tp.trial) for tp in pending}
     prepared: Dict[str, dict] = {}
@@ -112,27 +83,21 @@ def run_trials_batched(
                 entry_state=digital["entry_state"],
             )
         )
-    resolved = render_captures_batched(
-        requests, warmed, emit_warm_events=True
-    )
+    resolved = render_captures_batched(requests)
     tap_batch_run(len(pending), len({id(r.capture) for r in resolved}))
 
     # ---- receiver tails: one STFT sweep per (capture, M, window) ------
     envelopes = _batched_envelopes(pending, links, prepared, resolved)
-    records = []
-    for tp, res in zip(pending, resolved):
-        records.append(
-            _finish_trial(
-                tp,
-                links[tp.trial_id],
-                prepared[tp.digital_id],
-                res,
-                envelopes[tp.trial_id],
-                replay=cache is not None
-                and (res.source == "cache" or res.key in warmed),
-            )
+    return [
+        _finish_trial(
+            tp,
+            links[tp.trial_id],
+            prepared[tp.digital_id],
+            res,
+            envelopes[tp.trial_id],
         )
-    return records, len(warmed)
+        for tp, res in zip(pending, resolved)
+    ]
 
 
 def _batched_envelopes(
@@ -200,10 +165,8 @@ def _finish_trial(
     digital: dict,
     res: ResolvedCapture,
     envelope: Envelope,
-    replay: bool,
 ) -> dict:
-    """The per-trial tail: replay the capture hit the scalar trial would
-    see, decode, and assemble the exact scalar record schema."""
+    """The per-trial tail: decode, align, and assemble the record."""
     trial = tp.trial
     started = time.perf_counter()
     rng = np.random.default_rng(0)
@@ -213,10 +176,6 @@ def _finish_trial(
         "sweep.trial",
         {"trial": key_prefix(tp.trial_id), "label": trial.label},
     ):
-        if replay:
-            _stage_hit("sdr", res.key, rng)
-            tap_activity(digital["activity"])
-            tap_capture(res.capture, adc_bits=8)
         decoder = BatchDecoder(
             link.vrm_frequency_hz,
             expected_bit_period_s=digital["nominal"],

@@ -12,12 +12,9 @@ seed-controlled trials over the analog chain:
   chain intermediates (power-state trace, burst train, emission
   waveform), keyed by a stable hash of everything that determines them,
   including the RNG state on entry.
-* :mod:`repro.exec.executor` - the adaptive :class:`BatchExecutor`:
-  :func:`choose_executor` picks batched-serial / threads / processes
-  from the job shape (task count, array bytes, CPU budget) so callers
-  state *what* to fan out, not *how*.
-* :mod:`repro.exec.shm` - shared-memory transport for large arrays
-  (captures travel to workers as segment tokens, not pickled values).
+* :mod:`repro.exec.executor` - :func:`choose_executor` picks serial /
+  batched-serial / processes from the job shape (task count, CPU
+  budget) so callers state *what* to fan out, not *how*.
 * :mod:`repro.exec.timing` - per-stage wall-clock accounting that
   survives the process boundary, so experiment reports can say where
   their time went even when trials ran in workers.
@@ -30,24 +27,14 @@ from .context import (
     get_execution_config,
     set_execution_config,
 )
-from .executor import (
-    BatchExecutor,
-    ExecutorDecision,
-    choose_executor,
-    effective_cpus,
-)
+from .executor import ExecutorDecision, choose_executor, effective_cpus
 from .pool import parallel_map
-from .shm import ShmArena, ShmCapture, ShmToken, load_array
 from .timing import collect_timings, merge_timings, record_stage, stage
 
 __all__ = [
-    "BatchExecutor",
     "ChainCache",
     "ExecutionConfig",
     "ExecutorDecision",
-    "ShmArena",
-    "ShmCapture",
-    "ShmToken",
     "choose_executor",
     "collect_timings",
     "effective_cpus",
@@ -55,7 +42,6 @@ __all__ = [
     "fingerprint",
     "get_chain_cache",
     "get_execution_config",
-    "load_array",
     "merge_timings",
     "parallel_map",
     "record_stage",

@@ -1,4 +1,4 @@
-"""Adaptive executor selection: batched-serial / threads / processes.
+"""Adaptive executor selection: serial / batched-serial / processes.
 
 ``parallel_map`` fans homogeneous trials over a process pool - the right
 call on a many-core box with small task payloads, and exactly the wrong
@@ -6,8 +6,8 @@ one on a single CPU, where fork + pickle overhead is pure loss
 (``BENCH_parallel.json``: the table2 harness ran 24% *slower* at
 ``--jobs 4`` than serially on a 1-CPU host).  This module centralises
 that judgement: :func:`choose_executor` looks at the job shape (task
-count, per-task array bytes, whether a trial-major batched kernel
-exists) and the host (:func:`effective_cpus`) and returns an explicit
+count, whether a trial-major batched kernel exists) and the host
+(:func:`effective_cpus`) and returns an explicit
 :class:`ExecutorDecision` instead of blindly honouring ``--jobs``.
 
 The decision table (DESIGN.md §14):
@@ -18,10 +18,7 @@ condition                    decision
 ``tasks <= 1``               serial (batched-serial when a kernel exists)
 ``jobs <= 1``                serial / batched-serial - the reference path
 ``cpus <= 1``                batched-serial: fork cannot be hidden
-numpy-bound + huge arrays    threads: kernels drop the GIL, arrays shared
-otherwise                    processes via :func:`parallel_map`; payloads
-                             above ``SHM_BYTES_PER_TASK`` travel through
-                             :mod:`repro.exec.shm`, not pickle
+otherwise                    processes via :func:`parallel_map`
 ===========================  ============================================
 
 Every decision is traced (``batch.executor`` event) so a sweep's
@@ -31,25 +28,11 @@ manifest can say *why* it ran the way it did.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from contextvars import copy_context
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Optional
 
-from ..obs.trace import span, trace_event
+from ..obs.trace import trace_event
 from .context import get_execution_config
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-#: Above this many pickled bytes per task, a process pool must move the
-#: payload through shared memory rather than the pickle pipe.
-SHM_BYTES_PER_TASK = 1 << 20  # 1 MiB
-
-#: Above this total payload, prefer GIL-dropping threads over processes
-#: for numpy-bound work: the kernels release the GIL and the arrays are
-#: shared for free.
-THREAD_BYTES_TOTAL = 1 << 26  # 64 MiB
 
 
 def effective_cpus() -> int:
@@ -71,36 +54,28 @@ class ExecutorDecision:
     Attributes
     ----------
     mode:
-        ``"batched-serial"`` / ``"serial"`` / ``"threads"`` /
-        ``"processes"``.
+        ``"batched-serial"`` / ``"serial"`` / ``"processes"``.
     jobs:
         Worker count the chosen mode should use (1 for serial modes).
-    transport:
-        How task payloads travel: ``"none"`` (in-process), ``"pickle"``
-        or ``"shm"`` (shared-memory arrays, :mod:`repro.exec.shm`).
     reason:
         Human-readable justification, recorded in traces and manifests.
-    tasks / cpus / bytes_per_task:
+    tasks / cpus:
         The inputs the decision was made from.
     """
 
     mode: str
     jobs: int
-    transport: str
     reason: str
     tasks: int
     cpus: int
-    bytes_per_task: int
 
     def as_dict(self) -> dict:
         return {
             "mode": self.mode,
             "jobs": self.jobs,
-            "transport": self.transport,
             "reason": self.reason,
             "tasks": self.tasks,
             "cpus": self.cpus,
-            "bytes_per_task": self.bytes_per_task,
         }
 
 
@@ -108,8 +83,6 @@ def choose_executor(
     tasks: int,
     *,
     jobs: Optional[int] = None,
-    bytes_per_task: int = 0,
-    numpy_bound: bool = False,
     batchable: bool = False,
 ) -> ExecutorDecision:
     """Pick an execution mode from the job shape and the host.
@@ -121,12 +94,6 @@ def choose_executor(
     jobs:
         Requested worker count; ``None`` reads the active
         :class:`~repro.exec.context.ExecutionConfig`.
-    bytes_per_task:
-        Estimated array payload each task carries (e.g. one
-        ``IQCapture``'s ``nbytes``); steers pickle vs shared memory.
-    numpy_bound:
-        True when the per-task work is dominated by GIL-dropping numpy
-        kernels, making a thread pool a real option.
     batchable:
         True when a trial-major batched kernel exists for this work, so
         the serial modes report ``batched-serial`` rather than plain
@@ -139,85 +106,23 @@ def choose_executor(
     cpus = effective_cpus()
     serial_mode = "batched-serial" if batchable else "serial"
 
-    def decide(mode: str, n_jobs: int, transport: str, reason: str):
+    def decide(mode: str, n_jobs: int, reason: str) -> ExecutorDecision:
         decision = ExecutorDecision(
-            mode=mode,
-            jobs=n_jobs,
-            transport=transport,
-            reason=reason,
-            tasks=tasks,
-            cpus=cpus,
-            bytes_per_task=int(bytes_per_task),
+            mode=mode, jobs=n_jobs, reason=reason, tasks=tasks, cpus=cpus
         )
         trace_event("batch.executor", **decision.as_dict())
         return decision
 
     if tasks <= 1:
-        return decide(serial_mode, 1, "none", "nothing to fan out")
+        return decide(serial_mode, 1, "nothing to fan out")
     if jobs <= 1:
-        return decide(serial_mode, 1, "none", "serial requested (jobs=1)")
+        return decide(serial_mode, 1, "serial requested (jobs=1)")
     if cpus <= 1:
         return decide(
-            serial_mode,
-            1,
-            "none",
-            "single CPU: fork+pickle overhead cannot be hidden",
+            serial_mode, 1, "single CPU: fork+pickle overhead cannot be hidden"
         )
-    n_jobs = min(jobs, cpus, tasks)
-    total_bytes = int(bytes_per_task) * tasks
-    if numpy_bound and total_bytes >= THREAD_BYTES_TOTAL:
-        return decide(
-            "threads",
-            n_jobs,
-            "none",
-            "numpy-bound with large arrays: share memory, drop the GIL",
-        )
-    transport = "shm" if bytes_per_task >= SHM_BYTES_PER_TASK else "pickle"
     return decide(
         "processes",
-        n_jobs,
-        transport,
+        min(jobs, cpus, tasks),
         "multiple CPUs and picklable tasks",
     )
-
-
-class BatchExecutor:
-    """Run homogeneous tasks under an :class:`ExecutorDecision`.
-
-    The serial modes run in-process (the caller's batched kernels do the
-    real vectorisation); ``threads`` uses a thread pool with per-task
-    context copies so obs taps keep working; ``processes`` delegates to
-    :func:`repro.exec.pool.parallel_map`, which already merges worker
-    metrics/trace/timings and degrades safely.
-    """
-
-    def __init__(self, decision: ExecutorDecision):
-        self.decision = decision
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        items = list(items)
-        d = self.decision
-        with span(
-            "batch.execute",
-            {"mode": d.mode, "jobs": d.jobs, "tasks": len(items)},
-        ):
-            if d.mode in ("serial", "batched-serial"):
-                return [fn(item) for item in items]
-            if d.mode == "threads":
-                # Each task runs under its own copy of the caller's
-                # context, so ContextVar-based taps (metrics, trace,
-                # timings) see the active collectors.  The registries
-                # themselves are shared objects; numpy-bound tasks
-                # serialise on the GIL only for the cheap tap calls.
-                contexts = [copy_context() for _ in items]
-                with ThreadPoolExecutor(max_workers=d.jobs) as pool:
-                    futures = [
-                        pool.submit(ctx.run, fn, item)
-                        for ctx, item in zip(contexts, items)
-                    ]
-                    return [future.result() for future in futures]
-            if d.mode == "processes":
-                from .pool import parallel_map
-
-                return parallel_map(fn, items, jobs=d.jobs)
-            raise ValueError(f"unknown executor mode {d.mode!r}")

@@ -39,7 +39,7 @@ R = TypeVar("R")
 #: Per-task pickle payloads above this are assumed to dwarf the compute
 #: they carry; ``parallel_map`` degrades to serial rather than shuttle
 #: them through the pipe.  Callers with genuinely heavy tasks should
-#: move arrays through :mod:`repro.exec.shm` and pass small tokens.
+#: pass cache keys into a shared ``--cache-dir``, not arrays.
 _PICKLE_BYTES_CEILING = 1 << 25  # 32 MiB
 
 #: ExecutionConfig instances (by identity) that already produced the

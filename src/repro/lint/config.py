@@ -48,8 +48,6 @@ class LintConfig:
         "key",
         "on_hit",
         "compute",
-        "warmed",
-        "emit_warm_events",
     )
     #: Attribute names that hold *already-fingerprinted* cache keys
     #: (sweep plans precompute them); reaching such an attribute of a

@@ -139,10 +139,7 @@ def parse_sources(
     if pending:
         from ..exec.executor import choose_executor
 
-        avg_bytes = sum(len(s) for _, s in pending) // len(pending)
-        decision = choose_executor(
-            len(pending), jobs=jobs, bytes_per_task=avg_bytes
-        )
+        decision = choose_executor(len(pending), jobs=jobs)
         if decision.mode == "processes" and decision.jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
 

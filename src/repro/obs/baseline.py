@@ -306,7 +306,10 @@ def run_scenario(name: str) -> Dict[str, float]:
         known = ", ".join(sorted(SCENARIOS))
         raise KeyError(f"unknown baseline scenario {name!r}; known: {known}")
     with execution_scope(jobs=1, cache_enabled=False):
-        return fn()
+        metrics = fn()
+    # The batch.* instruments describe how trials were grouped into
+    # kernel calls (and their wall-clock seconds), not the physics.
+    return {k: v for k, v in metrics.items() if not k.startswith("batch.")}
 
 
 # ---------------------------------------------------------------------------

@@ -467,9 +467,6 @@ def tap_batch_executor(decision) -> None:
         return
     reg.counter(f"batch.executor.{decision.mode}").inc()
     reg.gauge("batch.executor.jobs").set(float(decision.jobs))
-    reg.gauge("batch.executor.bytes_per_task").set(
-        float(decision.bytes_per_task)
-    )
 
 
 def tap_batch_run(trials: int, groups: int) -> None:

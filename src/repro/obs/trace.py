@@ -19,8 +19,9 @@ process), ``pid`` and ``event``; the rest depends on the kind::
     {"ts": 0.002, "pid": 412, "event": "warning",
      "kind": "pool-serial-fallback", ...}
 
-``chain.py`` emits one span per analog stage (with the stage's cache
-key prefix, hit/miss disposition and an RNG-state digest), the cache
+The chain resolver (``batch/chain.py``) emits one span per computed
+analog stage (with the stage's cache key prefix, miss/off disposition
+and an RNG-state digest) and one ``stage`` event per cache hit, the cache
 emits get/put events, the pool emits fan-out spans and fallback
 warnings, and the experiment runner brackets each experiment.
 
@@ -57,7 +58,6 @@ REGISTERED_SPANS = frozenset(
     {
         "batch.chain",
         "batch.decode",
-        "batch.execute",
         "batch.kernel",
         "dither",
         "emission",
@@ -74,7 +74,6 @@ REGISTERED_SPANS = frozenset(
         "scenario.teardown",
         "sdr",
         "stream.chunk",
-        "sweep.group",
         "sweep.plan",
         "sweep.trial",
         "vrm",

@@ -68,7 +68,6 @@ def run_components(
     *,
     seed: int = 0,
     quick: bool = True,
-    batch: str = "auto",
 ) -> ScenarioOutcome:
     """Execute one scenario: resolve the order, then setup -> run ->
     teardown every component under the scenario spans.
@@ -80,7 +79,7 @@ def run_components(
     """
     started = time.perf_counter()
     order = resolve_order(components)
-    ctx = ScenarioContext(name, seed=seed, quick=quick, batch=batch)
+    ctx = ScenarioContext(name, seed=seed, quick=quick)
     lifecycle = Lifecycle()
     info = {
         "scenario": name,

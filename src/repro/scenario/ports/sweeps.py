@@ -98,11 +98,7 @@ class SweepReceiver(Component):
     requires = ("sweep.spec", "sweep.plan")
 
     def run(self, ctx: ScenarioContext) -> None:
-        outcome = run_sweep(
-            ctx.get("sweep.spec"),
-            plan=ctx.get("sweep.plan"),
-            batch=ctx.batch,
-        )
+        outcome = run_sweep(ctx.get("sweep.spec"), plan=ctx.get("sweep.plan"))
         ctx.publish(self, "sweep.outcome", outcome)
         for record in outcome.records:
             ctx.add_record(

@@ -183,8 +183,6 @@ class StreamRunner:
         decision = choose_executor(
             max(tasks, 1),
             jobs=1,  # ordered, stateful: one service lane by contract
-            bytes_per_task=chunk_size * 8,  # complex64 IQ
-            numpy_bound=True,
             batchable=True,
         )
         self.stats.executor = decision.mode

@@ -1,13 +1,12 @@
 """Cache-topology-aware sweep executor.
 
-Scheduling policy (DESIGN.md §12): after planning, shared stage nodes
-are warmed in chain order - every ``vrm`` group first, then ``emission``
-groups, then ``capture`` groups - each phase fanned out over the
-process pool.  A deeper warm therefore always finds its own prefix
-already published, so each shared stage is computed exactly once across
-the whole sweep.  The per-trial tails then fan out and hit their
-deepest warmed key; the shared capture travels to the workers as a
-cache key into the shared disk layer, never as a pickled array.
+Execution (DESIGN.md §12): every pending trial runs through one lane,
+the trial-major batched runner (:func:`repro.batch.runner.
+run_trials_batched`), which computes each distinct stage node of the
+plan's key DAG exactly once.  It runs in-process, or - when the
+adaptive executor picks processes - over shards of the pending trials
+split by power root.  Every lower key hashes its parent, so two roots
+never share a node and the shards never duplicate work.
 
 Correctness bar: a trial's record is bit-identical whether it runs here
 (any jobs count, cold or warm cache, resumed or not) or via a plain
@@ -21,16 +20,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
-import shutil
-import tempfile
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from ..chain import render_bursts, render_emission
 from ..core.align import ChannelMetrics
 from ..dsp.detection import histogram_modes
 from ..exec.context import execution_scope, get_execution_config
@@ -85,11 +80,8 @@ def _bits_digest(bits: np.ndarray) -> str:
 
 
 def _execute_trial(tp: TrialPlan) -> dict:
-    """One full trial; module-level so it crosses the process boundary.
-
-    With a warmed cache the analog stages all hit, so this is just the
-    digital prepare plus the receiver tail.
-    """
+    """One full naive trial; module-level so it crosses the process
+    boundary."""
     trial = tp.trial
     link = build_link(trial)
     started = time.perf_counter()
@@ -137,53 +129,20 @@ def _execute_trial(tp: TrialPlan) -> dict:
     }
 
 
-def _warm_node(task: Tuple[TrialPlan, str, str, int]) -> dict:
-    """Compute one shared stage node (through its representative trial).
-
-    Runs the representative's chain *down to* the node's stage via the
-    stage-wise entry points, publishing every prefix key on the way; the
-    value lands in the (shared) cache, never in the return payload.
-    """
-    tp, stage_name, key, fan_out = task
-    trial = tp.trial
-    link = build_link(trial)
-    prepared = link.prepare(trial_payload(trial))
-    started = time.perf_counter()
-    with span(
-        "sweep.group",
-        {"stage": stage_name, "key": key_prefix(key), "fan_out": fan_out},
-    ):
-        if stage_name == "vrm":
-            # The *raw* train is the shared value: trials diverge at the
-            # dither stage, which each tail applies itself.
-            render_bursts(
-                link.machine,
-                prepared.activity,
-                link.profile,
-                prepared.rng,
-                allow_c_states=link.allow_c_states,
-                allow_p_states=link.allow_p_states,
-                vrm_dithering=None,
-            )
-        elif stage_name == "emission":
-            render_emission(
-                link.machine,
-                prepared.activity,
-                link.profile,
-                prepared.rng,
-                allow_c_states=link.allow_c_states,
-                allow_p_states=link.allow_p_states,
-                vrm_dithering=link.vrm_dithering,
-            )
-        elif stage_name == "capture":
-            link.render_capture(prepared.activity, prepared.rng)
-        else:  # pragma: no cover - planner only emits WARMABLE stages
-            raise ValueError(f"cannot warm stage {stage_name!r}")
-    return {
-        "stage": stage_name,
-        "key": key_prefix(key),
-        "elapsed_s": round(time.perf_counter() - started, 6),
-    }
+def _shards(
+    pending: List[TrialPlan], jobs: Optional[int]
+) -> List[List[TrialPlan]]:
+    """The pending trials as one in-process batch, or - when the
+    executor picks processes - one shard per power root."""
+    decision = choose_executor(
+        len(pending), jobs=resolve_jobs(jobs), batchable=True
+    )
+    if decision.mode != "processes":
+        return [pending]
+    roots: Dict[str, List[TrialPlan]] = {}
+    for tp in pending:
+        roots.setdefault(tp.keys.power, []).append(tp)
+    return list(roots.values())
 
 
 def run_sweep(
@@ -194,7 +153,6 @@ def run_sweep(
     resume: bool = True,
     naive: bool = False,
     jobs: Optional[int] = None,
-    batch: str = "auto",
 ) -> SweepOutcome:
     """Plan and execute a sweep.
 
@@ -206,26 +164,16 @@ def run_sweep(
     results_path:
         Optional JSONL store.  With ``resume`` (the default), trials
         whose intact records are already on disk are skipped entirely -
-        they never reach the pool, and their shared prefixes are not
-        warmed unless a pending trial still needs them.
+        they never reach the runner, and their stage nodes are not
+        computed unless a pending trial still needs them.
     naive:
         Run every trial independently with the chain cache disabled -
         the reference path the engine must match bit-for-bit (and the
         baseline the speedup benchmarks compare against).
     jobs:
         Worker count; ``None`` reads the active execution config.
-    batch:
-        ``"auto"`` (default) routes pending trials through the
-        trial-major batched runner (:mod:`repro.batch`) whenever the
-        adaptive executor decides one process should do all the work
-        (single CPU, or fork cost dwarfing compute); multi-CPU hosts
-        keep the process-pool scalar path.  ``"on"`` forces the batched
-        runner, ``"off"`` forces the scalar path.  Records are
-        bit-identical either way.
     """
     started = time.perf_counter()
-    if batch not in ("auto", "on", "off"):
-        raise ValueError(f"batch must be 'auto', 'on' or 'off', got {batch!r}")
     if plan is None:
         plan = plan_sweep(spec)
     store = ResultStore(results_path)
@@ -236,71 +184,24 @@ def run_sweep(
         if tp.trial_id in existing
     }
     pending = [tp for tp in plan.trials if tp.trial_id not in resumed]
-    config = get_execution_config()
-    engine = not naive and config.cache_enabled
     warm_groups = 0
-    use_batch = batch == "on"
-    if batch == "auto" and engine and pending:
-        decision = choose_executor(
-            len(pending), jobs=resolve_jobs(jobs), batchable=True
-        )
-        use_batch = decision.mode == "batched-serial"
-    if use_batch and any(tp.keys.capture is None for tp in pending):
-        # Emission-only trials have no capture node to batch.
-        use_batch = False
-    with ExitStack() as stack:
-        if naive:
-            # Reference semantics: every trial owns its full chain.
-            stack.enter_context(execution_scope(cache_enabled=False))
-            use_batch = False
-        elif use_batch:
-            # One process, trial-major: the batched runner warms and
-            # fans out internally (same events, same records).  Lazy
-            # import: repro.batch pulls in this package's siblings.
-            from ..batch.runner import run_trials_batched
-
-            new_records, warm_groups = run_trials_batched(plan, pending)
-        elif not engine:
-            stack.enter_context(execution_scope(cache_enabled=False))
-        else:
-            n_jobs = min(resolve_jobs(jobs), max(len(pending), 1))
-            if n_jobs > 1 and config.cache_dir is None:
-                # Workers cannot share a memory-only cache, and a shared
-                # capture must travel by key, not by pickled value - so
-                # multi-process sweeps get a scratch disk layer.
-                scratch = tempfile.mkdtemp(prefix="repro-sweep-cache-")
-                stack.callback(shutil.rmtree, scratch, ignore_errors=True)
-                stack.enter_context(execution_scope(cache_dir=scratch))
-            pending_ids = {tp.trial_id for tp in pending}
-            by_id = {tp.trial_id: tp for tp in plan.trials}
-            for stage_name in ("vrm", "emission", "capture"):
-                nodes = [
-                    node
-                    for node in plan.warm_nodes()
-                    if node.stage == stage_name
-                    and any(t in pending_ids for t in node.trial_ids)
-                ]
-                if not nodes:
-                    continue
-                warm_groups += len(nodes)
-                trace_event(
-                    "sweep.warm", stage=stage_name, groups=len(nodes)
-                )
-                parallel_map(
-                    _warm_node,
-                    [
-                        (
-                            by_id[node.representative],
-                            node.stage,
-                            node.key,
-                            len(node.children),
-                        )
-                        for node in nodes
-                    ],
-                    jobs=jobs,
-                )
-        if not use_batch:
+    shards: List[List[TrialPlan]] = []
+    if naive:
+        # Reference semantics: every trial owns its full chain.
+        with execution_scope(cache_enabled=False):
             new_records = parallel_map(_execute_trial, pending, jobs=jobs)
+    elif pending:
+        # Lazy import: repro.batch pulls in this package's siblings.
+        from ..batch.runner import run_trials_batched
+
+        if get_execution_config().cache_enabled:
+            warm_groups = len(plan.warm_nodes(pending))
+        shards = _shards(pending, jobs)
+        parts = parallel_map(run_trials_batched, shards, jobs=jobs)
+        by_id = {r["trial_id"]: r for part in parts for r in part}
+        new_records = [by_id[tp.trial_id] for tp in pending]
+    else:
+        new_records = []
     for record in new_records:
         store.append(record)
     elapsed = time.perf_counter() - started
@@ -317,7 +218,7 @@ def run_sweep(
         "stages_saved": float(plan.stages_saved),
         "sharing_factor": plan.sharing_factor,
         "warm_groups": float(warm_groups),
-        "batch": 1.0 if use_batch else 0.0,
+        "shards": float(len(shards)),
         "elapsed_s": elapsed,
     }
     tap_sweep(stats)

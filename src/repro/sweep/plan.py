@@ -6,15 +6,13 @@ prefix of their key chains would compute byte-identical intermediates.
 The planner exploits that *before* anything runs: it fingerprints every
 trial's chain (paying only for the cheap digital half, once per distinct
 digital prefix), folds the chains into a DAG of stage nodes, and marks
-the shared fan-in points the executor should warm exactly once.
+the shared fan-in points the executor computes once for many trials.
 
-Only ``vrm`` / ``emission`` / ``capture`` nodes are warm candidates:
-``pmu`` and the absent-dither case have exactly one child by
-construction (their key is a pure hash of the parent's), so warming the
-child warms them for free; a ``dither`` node likewise feeds exactly one
-emission.  A node is worth warming only when it actually fans out
-(``len(children) > 1``) - otherwise its sole consumer computes it
-in-line at the same cost.
+Only ``vrm`` / ``emission`` / ``capture`` nodes are counted as shared
+("warm") groups: ``pmu`` and the absent-dither case have exactly one
+child by construction (their key is a pure hash of the parent's); a
+``dither`` node likewise feeds exactly one emission.  A node counts
+only when it actually fans out (``len(children) > 1``).
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from .spec import (
 #: Chain order of stage nodes; ``capture`` covers propagation + sdr.
 STAGE_ORDER = ("pmu", "vrm", "dither", "emission", "capture")
 
-#: Stages with a stage-wise warm entry point (see module docstring).
+#: Stages whose shared nodes count as warm groups (see module docstring).
 WARMABLE = ("vrm", "emission", "capture")
 
 
@@ -59,16 +57,12 @@ class StageNode:
 
     ``children`` are the next-stage keys reached from this node - or,
     for the deepest stage, the ids of the trials that consume it.
-    ``representative`` is a trial whose chain passes through the node;
-    warming replays that trial's chain down to this stage (any member
-    yields the same bytes - that is what sharing the key means).
     """
 
     stage: str
     key: str
     trial_ids: Tuple[str, ...]
     children: Tuple[str, ...]
-    representative: str
 
     @property
     def shared(self) -> bool:
@@ -108,10 +102,16 @@ class SweepPlan:
             return 1.0
         return self.naive_stage_runs / self.planned_stage_runs
 
-    def warm_nodes(self) -> List[StageNode]:
-        """The nodes the executor warms, in chain order (shallow first,
-        so a deeper warm always finds its own prefix already cached)."""
-        return [n for n in self.nodes if n.stage in WARMABLE and n.shared]
+    def warm_nodes(
+        self, pending: Optional[Sequence[TrialPlan]] = None
+    ) -> List[StageNode]:
+        """The shared ``vrm``/``emission``/``capture`` nodes, in chain
+        order; with ``pending``, only those a pending trial consumes."""
+        nodes = [n for n in self.nodes if n.stage in WARMABLE and n.shared]
+        if pending is None:
+            return nodes
+        ids = {tp.trial_id for tp in pending}
+        return [n for n in nodes if any(t in ids for t in n.trial_ids)]
 
     def trial_groups(self) -> List[Tuple[StageNode, List[TrialPlan]]]:
         """Trials grouped by the deepest chain node they share, in node
@@ -250,8 +250,7 @@ def _build_nodes(plans: Iterable[TrialPlan]) -> List[StageNode]:
         stages = tp.keys.stages()
         for i, (stage_name, key) in enumerate(stages):
             entry = table.setdefault(
-                (stage_name, key),
-                {"trials": [], "children": {}, "rep": tp.trial_id},
+                (stage_name, key), {"trials": [], "children": {}}
             )
             entry["trials"].append(tp.trial_id)
             # Leaf nodes fan out into the trials that consume them.
@@ -266,7 +265,6 @@ def _build_nodes(plans: Iterable[TrialPlan]) -> List[StageNode]:
             key=key,
             trial_ids=tuple(entry["trials"]),
             children=tuple(entry["children"]),
-            representative=entry["rep"],
         )
         for (stage_name, key), entry in ordered
     ]

@@ -4,7 +4,7 @@ The batched path earns its keep on big regular grids, but the engine
 hands it whatever a resume left pending: nothing at all, a single
 straggler trial, or a ragged mix of groups whose receivers disagree on
 FFT geometry and whose payloads disagree on length.  Each of those must
-come back bit-identical to the scalar engine - the degenerate cases are
+come back bit-identical to naive per-trial runs - the degenerate cases are
 exactly where a vectorised implementation silently pads, truncates, or
 divides by zero.
 """
@@ -12,7 +12,7 @@ divides by zero.
 import pytest
 
 from repro.batch.chain import render_captures_batched
-from repro.batch.runner import run_trials_batched, warm_map
+from repro.batch.runner import run_trials_batched
 from repro.exec.cache import reset_chain_cache
 from repro.exec.context import execution_scope
 from repro.sweep.engine import run_sweep
@@ -75,9 +75,7 @@ class TestEmptyBatch:
     def test_no_pending_trials_is_a_clean_noop(self):
         plan = plan_sweep(SweepSpec(base={"bits": 24}))
         with execution_scope(cache_enabled=True):
-            records, warm_groups = run_trials_batched(plan, [])
-        assert records == []
-        assert warm_groups == 0
+            assert run_trials_batched([]) == []
 
     def test_no_chain_requests_resolve_to_nothing(self):
         with execution_scope(cache_enabled=False):
@@ -96,13 +94,13 @@ class TestEmptyBatch:
             ],
         )
         plan = plan_sweep(spec)
-        assert warm_map(plan, plan.trials) != {}
-        assert warm_map(plan, []) == {}
+        assert plan.warm_nodes(plan.trials) != []
+        assert plan.warm_nodes([]) == []
 
 
 class TestSingleTrialDegenerate:
     """A one-trial batch exercises every vector kernel at batch size
-    one; the records must still match the scalar engine bit for bit."""
+    one; the records must still match the naive path bit for bit."""
 
     def test_single_trial_matches_scalar(self):
         spec = SweepSpec(name="test-batch-single", base={"bits": 24})
@@ -111,28 +109,27 @@ class TestSingleTrialDegenerate:
         assert plan.n_trials == 1
         reset_chain_cache()
         with execution_scope(cache_enabled=True):
-            records, warm_groups = run_trials_batched(plan, plan.trials)
+            records = run_trials_batched(plan.trials)
         assert [comparable(r) for r in records] == reference
-        # A singleton shares nothing, so nothing is warmable.
-        assert warm_groups == 0
+        # A singleton shares nothing, so no node is shared.
+        assert plan.warm_nodes(plan.trials) == []
 
     def test_single_trial_without_cache(self):
         spec = SweepSpec(name="test-batch-single", base={"bits": 24})
         reference = scalar_reference(spec)
         plan = plan_sweep(spec)
         with execution_scope(cache_enabled=False):
-            records, warm_groups = run_trials_batched(plan, plan.trials)
+            records = run_trials_batched(plan.trials)
         assert [comparable(r) for r in records] == reference
-        assert warm_groups == 0
 
     def test_engine_batch_on_single_trial(self):
-        """``run_sweep(batch="on")`` with one trial takes the batched
-        path end to end and still equals the scalar records."""
+        """``run_sweep`` with one trial takes the batched path end to
+        end and still equals the naive records."""
         spec = SweepSpec(name="test-batch-single", base={"bits": 24})
         reference = scalar_reference(spec)
         reset_chain_cache()
         with execution_scope(cache_enabled=True):
-            outcome = run_sweep(spec, jobs=1, batch="on")
+            outcome = run_sweep(spec, jobs=1)
         assert [comparable(r) for r in outcome.records] == reference
 
 
@@ -143,7 +140,7 @@ class TestRaggedGroups:
         plan = plan_sweep(spec)
         reset_chain_cache()
         with execution_scope(cache_enabled=True):
-            records, _ = run_trials_batched(plan, plan.trials)
+            records = run_trials_batched(plan.trials)
         assert [comparable(r) for r in records] == reference
 
     def test_ragged_tail_after_partial_resume(self):
@@ -155,8 +152,8 @@ class TestRaggedGroups:
         plan = plan_sweep(spec)
         reset_chain_cache()
         with execution_scope(cache_enabled=True):
-            head, _ = run_trials_batched(plan, plan.trials[:1])
-            tail, _ = run_trials_batched(plan, plan.trials[1:])
+            head = run_trials_batched(plan.trials[:1])
+            tail = run_trials_batched(plan.trials[1:])
         got = [comparable(r) for r in head + tail]
         assert got == reference
 
@@ -168,7 +165,7 @@ class TestRaggedGroups:
         plan = plan_sweep(spec)
         reset_chain_cache()
         with execution_scope(cache_enabled=True):
-            records, _ = run_trials_batched(plan, plan.trials)
+            records = run_trials_batched(plan.trials)
         by_id = {r["trial_id"]: r for r in records}
         for tp in plan.trials:
             expected_bits = tp.trial.bits

@@ -1,9 +1,9 @@
-"""Bit-identity of the batched path against the scalar references.
+"""Bit-identity of the batched path against the per-trial references.
 
 The non-negotiable from the batch engine's contract: any partition of a
 trial set into batches - including all-singletons - produces records
-byte-identical to the scalar sweep (bits digests, BER, RNG exit
-digests, thresholds).  Plus the golden-capture pin: the batched chain
+byte-identical to naive per-trial execution (bits digests, BER, RNG
+exit digests, thresholds).  Plus the golden-capture pin: the chain
 renders the committed fixed-seed snapshot bit-for-bit.
 """
 
@@ -12,12 +12,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.exec.executor as ex_mod
 from repro.batch.chain import ChainRequest, render_captures_batched
 from repro.batch.runner import run_trials_batched
 from repro.chain import capture_chain_keys
 from repro.exec.cache import reset_chain_cache
 from repro.exec.context import execution_scope
-from repro.sweep.engine import run_sweep
+from repro.sweep.engine import _execute_trial, run_sweep
 from repro.sweep.plan import plan_sweep
 from repro.sweep.presets import RECEIVER_GRID
 from repro.sweep.spec import SweepSpec
@@ -64,38 +65,42 @@ class TestRecordIdentity:
         plan = plan_sweep(spec)
         reset_chain_cache()
         with execution_scope(cache_enabled=True):
-            records, _ = run_trials_batched(plan, plan.trials)
+            records = run_trials_batched(plan.trials)
         assert [comparable(r) for r in records] == reference
 
     def test_batched_matches_scalar_engine(self):
+        """Trial-at-a-time through the cache - every capture a batch of
+        one, later trials hitting earlier trials' nodes - against one
+        batch of all trials on a cold cache."""
         spec = mixed_spec()
         plan = plan_sweep(spec)
         with execution_scope(cache_enabled=True):
-            scalar = run_sweep(spec, plan=plan, jobs=1, batch="off")
+            one_by_one = [_execute_trial(tp) for tp in plan.trials]
         reset_chain_cache()
         with execution_scope(cache_enabled=True):
-            records, warm_groups = run_trials_batched(plan, plan.trials)
+            records = run_trials_batched(plan.trials)
         assert [comparable(r) for r in records] == [
-            comparable(r) for r in scalar.records
+            comparable(r) for r in one_by_one
         ]
-        assert float(warm_groups) == scalar.stats["warm_groups"]
 
     def test_dedupe_only_without_cache_matches_naive(self):
         spec = mixed_spec()
         reference = scalar_reference(spec)
         plan = plan_sweep(spec)
         with execution_scope(cache_enabled=False):
-            records, warm_groups = run_trials_batched(plan, plan.trials)
-        assert warm_groups == 0
+            records = run_trials_batched(plan.trials)
         assert [comparable(r) for r in records] == reference
 
     def test_warm_cache_rerun_identical(self):
         spec = mixed_spec()
         plan = plan_sweep(spec)
         with execution_scope(cache_enabled=True):
-            cold, _ = run_trials_batched(plan, plan.trials)
-            warm, _ = run_trials_batched(plan, plan.trials)
+            cold = run_trials_batched(plan.trials)
+            warm = run_trials_batched(plan.trials)
         assert [comparable(r) for r in cold] == [comparable(r) for r in warm]
+
+
+SCENARIOS = st.sampled_from([None, {"kind": "distance", "distance_m": 1.0}])
 
 
 class TestPartitionProperty:
@@ -108,7 +113,7 @@ class TestPartitionProperty:
     def test_any_partition_is_byte_identical(self, cuts, reference_fixture):
         """Split the pending trials at arbitrary points; each batch runs
         through the batched engine against the accumulated cache (the
-        resume topology).  Every partition must reproduce the scalar
+        resume topology).  Every partition must reproduce the naive
         records exactly."""
         plan, reference = reference_fixture
         bounds = [0] + sorted(cuts) + [len(plan.trials)]
@@ -118,10 +123,7 @@ class TestPartitionProperty:
             for lo, hi in zip(bounds, bounds[1:]):
                 if lo == hi:
                     continue
-                batch_records, _ = run_trials_batched(
-                    plan, plan.trials[lo:hi]
-                )
-                for rec in batch_records:
+                for rec in run_trials_batched(plan.trials[lo:hi]):
                     records[rec["trial_id"]] = rec
         got = [
             comparable(records[tp.trial_id]) for tp in plan.trials
@@ -134,6 +136,53 @@ class TestPartitionProperty:
         reference = scalar_reference(spec)
         plan = plan_sweep(spec)
         return plan, reference
+
+    @settings(
+        max_examples=3,
+        deadline=None,
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.function_scoped_fixture,
+        ],
+    )
+    @given(
+        seeds=st.lists(
+            st.integers(min_value=0, max_value=2**16),
+            min_size=1,
+            max_size=2,
+            unique=True,
+        ),
+        scenario=SCENARIOS,
+        dithered=st.booleans(),
+    )
+    def test_one_many_and_sharded_batches_agree(
+        self, monkeypatch, seeds, scenario, dithered
+    ):
+        """N=1 vs N=k: per-trial naive runs, one batch of every trial,
+        and shards by power root through ``run_sweep(jobs=2)`` give
+        byte-identical records on random small grids."""
+        monkeypatch.setattr(ex_mod, "effective_cpus", lambda: 4)
+        base = {"bits": 24, "scenario": scenario}
+        if dithered:
+            base["dithering"] = {"spread_rel": 0.05}
+        spec = SweepSpec(
+            name="prop-partition",
+            base=base,
+            grid={"seed": seeds, "receiver": [None, RECEIVER_GRID[0]]},
+        )
+        reset_chain_cache()
+        naive = [comparable(r) for r in run_sweep(spec, naive=True).records]
+        plan = plan_sweep(spec)
+        reset_chain_cache()
+        with execution_scope(cache_enabled=True):
+            one_batch = run_trials_batched(plan.trials)
+        reset_chain_cache()
+        with execution_scope(cache_enabled=True):
+            sharded = run_sweep(spec, plan=plan, jobs=2)
+        reset_chain_cache()
+        assert sharded.stats["shards"] == float(len(seeds))
+        assert [comparable(r) for r in one_batch] == naive
+        assert [comparable(r) for r in sharded.records] == naive
 
 
 class TestGoldenCapture:
@@ -187,7 +236,7 @@ class TestGoldenCapture:
         assert np.array_equal(capture.samples, golden["samples"]), (
             "batched chain diverged from the committed golden capture"
         )
-        # And from the scalar render, state for state.
+        # And from render_capture's batch of one, state for state.
         scalar = render_golden_capture()
         assert np.array_equal(capture.samples, scalar.samples)
         assert capture.sample_rate == scalar.sample_rate

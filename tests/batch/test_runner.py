@@ -1,12 +1,10 @@
-"""The batched runner's observational contract and sweep integration.
+"""The sweep engine's one lane: trace shape and executor wiring.
 
-Beyond record bit-identity (test_identity), the batched path must be
-*observationally* compatible: the trace stream (span names, cache
-dispositions, stage keys, RNG digests, warm-group events) and the
-metrics snapshot match the scalar engine exactly, modulo the additive
-``batch.*`` instrumentation.  Plus the ``run_sweep(batch=...)`` wiring:
-auto-engagement follows the executor decision, "off" forces the scalar
-path, and the stats row says which path ran.
+Record bit-identity lives in test_identity.  Here: the batched runner
+emits its ``batch.*`` spans, the engine runs it in-process unless the
+adaptive executor picks processes (then over shards split by power
+root), naive mode never touches it, and the CLI mode line says which
+way it ran.
 """
 
 from collections import Counter
@@ -16,7 +14,6 @@ import pytest
 import repro.exec.executor as ex_mod
 from repro.exec.cache import reset_chain_cache
 from repro.exec.context import execution_scope
-from repro.obs.metrics import metrics_scope
 from repro.obs.trace import collect_events
 from repro.sweep.engine import run_sweep
 from repro.sweep.presets import RECEIVER_GRID
@@ -38,71 +35,28 @@ def receiver_spec(n=3, bits=24, seed=0):
     )
 
 
-def _sig(event):
-    """An event's observable identity: everything except wall-clock."""
-    return tuple(
-        sorted(
-            (k, v)
-            for k, v in event.items()
-            if k not in ("duration_s", "elapsed_s", "ts", "batch")
-        )
+def two_root_spec(bits=24):
+    """Two seeds (two power roots), two receivers each."""
+    return SweepSpec(
+        name="test-batch-shards",
+        base={"bits": bits},
+        grid={"seed": [0, 1], "receiver": [None, RECEIVER_GRID[0]]},
     )
 
 
-def _stream(events):
-    """The comparable trace stream, with the additive batch.* events
-    (kernel/chain/decode/executor spans) filtered out."""
-    keep = []
-    for event in events:
-        name = event.get("name", "")
-        if event.get("event") == "batch.executor":
-            continue
-        if event.get("event") == "span" and str(name).startswith("batch."):
-            continue
-        if event.get("event") == "cache":
-            # Cache-layer op diagnostics: the batched path probes each
-            # shared node once instead of once per trial - that dedupe
-            # is the optimization, not an observable difference.
-            continue
-        keep.append(_sig(event))
-    return keep
-
-
-def _run_traced(spec, *, batch):
-    reset_chain_cache()
-    with execution_scope(cache_enabled=True):
-        with collect_events() as events:
-            outcome = run_sweep(spec, jobs=1, batch=batch)
-    return outcome, events
+def comparable(record):
+    out = dict(record)
+    out.pop("elapsed_s")
+    return out
 
 
 class TestTraceParity:
-    def test_cold_stream_matches_scalar_engine(self):
-        spec = receiver_spec()
-        scalar, scalar_events = _run_traced(spec, batch="off")
-        batched, batch_events = _run_traced(spec, batch="on")
-        assert batched.stats["batch"] == 1.0
-        assert scalar.stats["batch"] == 0.0
-        # Per-trial spans may interleave differently (phase-major), so
-        # compare as multisets - every observable event must appear the
-        # same number of times with identical attributes.
-        assert Counter(_stream(batch_events)) == Counter(_stream(scalar_events))
-
-    def test_warm_stream_matches_scalar_engine(self):
-        spec = receiver_spec()
-        results = {}
-        for mode in ("off", "on"):
-            reset_chain_cache()
-            with execution_scope(cache_enabled=True):
-                run_sweep(spec, jobs=1, batch=mode)  # warm the cache
-                with collect_events() as events:
-                    run_sweep(spec, jobs=1, batch=mode, resume=False)
-            results[mode] = Counter(_stream(events))
-        assert results["on"] == results["off"]
+    """The batched lane's own instrumentation is in the trace."""
 
     def test_batch_spans_are_emitted(self):
-        spec = receiver_spec()
-        _, events = _run_traced(spec, batch="on")
+        with execution_scope(cache_enabled=True):
+            with collect_events() as events:
+                run_sweep(receiver_spec(), jobs=1)
         names = Counter(
             e["name"] for e in events if e.get("event") == "span"
         )
@@ -111,69 +65,40 @@ class TestTraceParity:
         assert names["batch.kernel"] >= 1
 
 
-class TestMetricsParity:
-    def test_non_batch_metrics_identical(self):
-        spec = receiver_spec()
-        snaps = {}
-        for mode in ("off", "on"):
-            reset_chain_cache()
-            with execution_scope(cache_enabled=True):
-                with metrics_scope() as reg:
-                    run_sweep(spec, jobs=1, batch=mode)
-            snaps[mode] = reg.snapshot()
-        scalar = {
-            k: v for k, v in snaps["off"].items() if not k.startswith("batch.")
-        }
-        batched = {
-            k: v for k, v in snaps["on"].items() if not k.startswith("batch.")
-        }
-        assert batched == scalar
-        # And the batch path actually reported its own instruments.
-        assert any(k.startswith("batch.") for k in snaps["on"])
-
-
 class TestRunSweepWiring:
     def test_auto_engages_on_single_cpu(self, monkeypatch):
         monkeypatch.setattr(ex_mod, "effective_cpus", lambda: 1)
         with execution_scope(cache_enabled=True):
-            outcome = run_sweep(receiver_spec(), jobs=4, batch="auto")
-        assert outcome.stats["batch"] == 1.0
+            outcome = run_sweep(receiver_spec(), jobs=4)
+        # One CPU: the whole batch runs in-process, as one shard.
+        assert outcome.stats["shards"] == 1.0
 
-    def test_auto_keeps_scalar_path_on_many_cpus(self, monkeypatch):
-        monkeypatch.setattr(ex_mod, "effective_cpus", lambda: 8)
+    def test_many_cpus_shard_by_power_root(self, monkeypatch):
+        monkeypatch.setattr(ex_mod, "effective_cpus", lambda: 4)
+        spec = two_root_spec()
+        naive = run_sweep(spec, naive=True)
         with execution_scope(cache_enabled=True):
-            outcome = run_sweep(receiver_spec(), jobs=1, batch="auto")
-        # jobs=1 is still the reference batched-serial shape...
-        assert outcome.stats["batch"] == 1.0
-        reset_chain_cache()
-        with execution_scope(cache_enabled=True):
-            outcome = run_sweep(receiver_spec(), jobs=2, batch="auto")
-        # ...but a real multi-worker request keeps the process pool.
-        assert outcome.stats["batch"] == 0.0
-
-    def test_off_forces_scalar_path(self, monkeypatch):
-        monkeypatch.setattr(ex_mod, "effective_cpus", lambda: 1)
-        with execution_scope(cache_enabled=True):
-            outcome = run_sweep(receiver_spec(), jobs=1, batch="off")
-        assert outcome.stats["batch"] == 0.0
+            outcome = run_sweep(spec, jobs=2)
+        assert outcome.stats["shards"] == 2.0
+        assert [comparable(r) for r in outcome.records] == [
+            comparable(r) for r in naive.records
+        ]
 
     def test_naive_never_batches(self):
-        outcome = run_sweep(receiver_spec(), naive=True, batch="on")
-        assert outcome.stats["batch"] == 0.0
+        with collect_events() as events:
+            outcome = run_sweep(receiver_spec(), naive=True)
+        assert outcome.stats["shards"] == 0.0
+        assert not [e for e in events if e.get("name") == "batch.decode"]
 
-    def test_forced_on_works_without_cache(self):
+    def test_engine_works_without_cache(self):
         with execution_scope(cache_enabled=False):
-            outcome = run_sweep(receiver_spec(), jobs=1, batch="on")
-        assert outcome.stats["batch"] == 1.0
+            outcome = run_sweep(receiver_spec(), jobs=1)
+        assert outcome.stats["shards"] == 1.0
         assert outcome.stats["warm_groups"] == 0.0
-
-    def test_invalid_batch_value_rejected(self):
-        with pytest.raises(ValueError, match="batch must be"):
-            run_sweep(receiver_spec(), batch="sometimes")
 
 
 class TestCli:
-    def test_sweep_accepts_batch_flag(self, tmp_path, capsys):
+    def test_sweep_mode_line(self, tmp_path, capsys):
         from repro.cli import main
 
         spec = receiver_spec(n=2)
@@ -185,9 +110,9 @@ class TestCli:
                 str(spec_path),
                 "--results",
                 str(tmp_path / "out.jsonl"),
-                "--batch",
-                "on",
+                "--jobs",
+                "1",
             ]
         )
         assert rc == 0
-        assert "engine+batch" in capsys.readouterr().out
+        assert "engine: 2 executed" in capsys.readouterr().out

@@ -1,23 +1,14 @@
-"""The adaptive executor: decision table and BatchExecutor modes.
+"""The adaptive executor: the decision table and its trace/metric taps.
 
 The decision table (DESIGN.md §14) is the contract: callers state the
-job shape, the executor picks batched-serial / threads / processes.
-Every branch is pinned here, as is the trace event that records *why*,
-and each BatchExecutor mode's result-order and context behaviour.
+job shape, the executor picks serial / batched-serial / processes.
+Every branch is pinned here, as is the trace event that records *why*.
 """
-
-import threading
 
 import pytest
 
 import repro.exec.executor as ex_mod
-from repro.exec.executor import (
-    SHM_BYTES_PER_TASK,
-    THREAD_BYTES_TOTAL,
-    BatchExecutor,
-    choose_executor,
-    effective_cpus,
-)
+from repro.exec.executor import choose_executor, effective_cpus
 from repro.obs.metrics import metrics_scope, tap_batch_executor
 from repro.obs.trace import collect_events
 
@@ -30,7 +21,7 @@ class TestDecisionTable:
     def test_single_task_is_serial(self, monkeypatch):
         _cpus(monkeypatch, 8)
         d = choose_executor(1, jobs=8)
-        assert (d.mode, d.jobs, d.transport) == ("serial", 1, "none")
+        assert (d.mode, d.jobs) == ("serial", 1)
 
     def test_single_task_batchable_reports_batched_serial(self, monkeypatch):
         _cpus(monkeypatch, 8)
@@ -47,28 +38,10 @@ class TestDecisionTable:
         assert (d.mode, d.jobs) == ("batched-serial", 1)
         assert "single CPU" in d.reason
 
-    def test_numpy_bound_large_arrays_pick_threads(self, monkeypatch):
-        _cpus(monkeypatch, 4)
-        per_task = THREAD_BYTES_TOTAL // 4
-        d = choose_executor(
-            8, jobs=8, bytes_per_task=per_task, numpy_bound=True
-        )
-        assert (d.mode, d.transport) == ("threads", "none")
-        assert d.jobs == 4  # min(jobs, cpus, tasks)
-
-    def test_numpy_bound_small_arrays_still_fork(self, monkeypatch):
-        _cpus(monkeypatch, 4)
-        d = choose_executor(8, jobs=8, bytes_per_task=64, numpy_bound=True)
-        assert (d.mode, d.transport) == ("processes", "pickle")
-
-    def test_processes_with_shm_transport_for_big_payloads(self, monkeypatch):
-        _cpus(monkeypatch, 4)
-        d = choose_executor(8, jobs=4, bytes_per_task=SHM_BYTES_PER_TASK)
-        assert (d.mode, d.transport) == ("processes", "shm")
-
     def test_jobs_capped_by_tasks(self, monkeypatch):
         _cpus(monkeypatch, 16)
-        assert choose_executor(3, jobs=16).jobs == 3
+        d = choose_executor(3, jobs=16)
+        assert (d.mode, d.jobs) == ("processes", 3)
 
     def test_invalid_jobs_rejected(self, monkeypatch):
         _cpus(monkeypatch, 4)
@@ -104,78 +77,3 @@ class TestDecisionTable:
 class TestEffectiveCpus:
     def test_returns_positive_int(self):
         assert effective_cpus() >= 1
-
-
-class TestBatchExecutor:
-    def _run(self, monkeypatch, cpus, **kwargs):
-        _cpus(monkeypatch, cpus)
-        decision = choose_executor(4, **kwargs)
-        return decision, BatchExecutor(decision).map(
-            lambda x: x * x, [1, 2, 3, 4]
-        )
-
-    def test_batched_serial_preserves_order(self, monkeypatch):
-        d, out = self._run(monkeypatch, 1, jobs=4, batchable=True)
-        assert d.mode == "batched-serial"
-        assert out == [1, 4, 9, 16]
-
-    def test_threads_preserve_order(self, monkeypatch):
-        d, out = self._run(
-            monkeypatch,
-            4,
-            jobs=4,
-            bytes_per_task=THREAD_BYTES_TOTAL,
-            numpy_bound=True,
-        )
-        assert d.mode == "threads"
-        assert out == [1, 4, 9, 16]
-
-    def test_threads_run_under_copied_context(self, monkeypatch):
-        # Taps inside thread tasks must reach the caller's collectors.
-        _cpus(monkeypatch, 4)
-        decision = choose_executor(
-            4, jobs=4, bytes_per_task=THREAD_BYTES_TOTAL, numpy_bound=True
-        )
-        seen = []
-        with collect_events() as events:
-            from repro.obs.trace import trace_event
-
-            def task(x):
-                seen.append(threading.current_thread() is threading.main_thread())
-                trace_event("warning", kind="from-thread", x=x)
-                return x
-
-            BatchExecutor(decision).map(task, [1, 2, 3, 4])
-        assert not all(seen)  # work actually left the main thread
-        assert len([e for e in events if e.get("kind") == "from-thread"]) == 4
-
-    def test_processes_delegate_to_parallel_map(self, monkeypatch):
-        _cpus(monkeypatch, 4)
-        decision = choose_executor(4, jobs=2)
-        assert decision.mode == "processes"
-        calls = {}
-
-        def fake_parallel_map(fn, items, jobs=None):
-            calls["jobs"] = jobs
-            return [fn(item) for item in items]
-
-        import repro.exec.pool as pool_mod
-
-        monkeypatch.setattr(pool_mod, "parallel_map", fake_parallel_map)
-        out = BatchExecutor(decision).map(lambda x: x + 1, [1, 2, 3])
-        assert out == [2, 3, 4]
-        assert calls["jobs"] == 2
-
-    def test_map_emits_execute_span(self, monkeypatch):
-        _cpus(monkeypatch, 1)
-        decision = choose_executor(4, jobs=4, batchable=True)
-        with collect_events() as events:
-            BatchExecutor(decision).map(lambda x: x, [1, 2])
-        spans = [
-            e
-            for e in events
-            if e.get("event") == "span" and e.get("name") == "batch.execute"
-        ]
-        assert len(spans) == 1
-        assert spans[0]["mode"] == "batched-serial"
-        assert spans[0]["tasks"] == 2

@@ -6,9 +6,15 @@ import time
 import numpy as np
 import pytest
 
-from repro.chain import _compute_through_lock
+import repro.exec.cache as cache_mod
+from repro.batch.chain import ChainRequest, render_captures_batched
+from repro.chain import capture_chain_keys, tuned_frequency_hz
+from repro.em.environment import near_field_scenario
 from repro.exec.cache import ChainCache
 from repro.obs.trace import collect_events
+from repro.params import TINY
+from repro.systems.laptops import DELL_INSPIRON
+from repro.types import ActivityTrace, Interval
 
 
 @pytest.fixture
@@ -101,65 +107,103 @@ class TestReprobe:
         assert cache.reprobe("k" * 64) is None
 
 
+ANALOG_SPANS = ("pmu", "vrm", "emission", "propagation", "sdr")
+
+
+def _request(seed=7):
+    """One tiny capture request for the chain resolver."""
+    activity = ActivityTrace([Interval(0.001, 0.003)], duration=0.005)
+    scenario = near_field_scenario(tuned_frequency_hz(DELL_INSPIRON, TINY))
+    rng = np.random.default_rng(seed)
+    return ChainRequest(
+        machine=DELL_INSPIRON,
+        activity=activity,
+        scenario=scenario,
+        profile=TINY,
+        allow_c_states=True,
+        allow_p_states=True,
+        vrm_dithering=None,
+        keys=capture_chain_keys(DELL_INSPIRON, activity, scenario, TINY, rng),
+        entry_state=rng.bit_generator.state,
+    )
+
+
+def _resolve(monkeypatch, cache, request):
+    """Resolve one request against ``cache`` (one modelled worker)."""
+    monkeypatch.setattr(cache_mod, "get_chain_cache", lambda: cache)
+    (resolved,) = render_captures_batched([request])
+    return resolved
+
+
+def _computed(events):
+    return [
+        e
+        for e in events
+        if e["event"] == "span" and e["name"] in ANALOG_SPANS
+    ]
+
+
 class TestComputeThroughLock:
-    """The deterministic two-worker stampede scenario, single-process:
-    worker B misses, worker A publishes, B then enters the lock."""
+    """The deterministic two-worker stampede scenario, single-process,
+    through the chain resolver: worker A publishes the whole chain
+    while worker B's capture probe is already past, so B misses the
+    capture, then finds it under the capture key's lock."""
 
-    def test_loser_is_served_and_does_not_compute(self, shared_dir):
-        a = ChainCache(max_bytes=2**20, disk_dir=shared_dir)
-        b = ChainCache(max_bytes=2**20, disk_dir=shared_dir)
-        key = "k" * 64
-        assert b.get(key) is None  # B's miss, before A publishes
-        winner_rng = np.random.default_rng(7)
-        winner_value = winner_rng.normal(size=4)
-        winner_rng.random()  # the compute advances the RNG
-        a.put(key, (winner_value, winner_rng.bit_generator.state))
+    def test_loser_is_served_and_does_not_compute(
+        self, shared_dir, monkeypatch
+    ):
+        a = ChainCache(max_bytes=2**26, disk_dir=shared_dir)
+        b = ChainCache(max_bytes=2**26, disk_dir=shared_dir)
+        request = _request()
+        winner = _resolve(monkeypatch, a, request)
 
-        loser_rng = np.random.default_rng(7)
+        # B's first probe (the capture) ran before A published.
+        real_get = b.get
+        raced = []
 
-        def compute():
-            raise AssertionError("loser must not recompute a published key")
+        def racing_get(key):
+            if not raced:
+                raced.append(key)
+                return None
+            return real_get(key)
 
+        monkeypatch.setattr(b, "get", racing_get)
         with collect_events() as events:
-            value = _compute_through_lock(b, key, "vrm", loser_rng, compute)
-        assert np.array_equal(value, winner_value)
-        # RNG restored to the winner's exit state.
-        assert (
-            loser_rng.bit_generator.state["state"]
-            == winner_rng.bit_generator.state["state"]
-        )
+            loser = _resolve(monkeypatch, b, request)
+        assert raced == [request.keys.capture]
+        assert _computed(events) == []
+        assert loser.source == "cache"
+        assert np.array_equal(loser.capture.samples, winner.capture.samples)
+        # RNG exit state is the winner's.
+        assert loser.exit_state["state"] == winner.exit_state["state"]
         avoided = [e for e in events if e["event"] == "cache.stampede_avoided"]
         assert len(avoided) == 1
-        assert avoided[0]["stage"] == "vrm"
-        assert avoided[0]["key"] == key[:12]
+        assert avoided[0]["stage"] == "sdr"
+        assert avoided[0]["key"] == request.keys.capture[:12]
 
-    def test_winner_computes_and_publishes(self, shared_dir):
-        cache = ChainCache(max_bytes=2**20, disk_dir=shared_dir)
-        key = "k" * 64
-        rng = np.random.default_rng(1)
-        calls = []
-
-        def compute():
-            calls.append(1)
-            rng.random()
-            return "computed"
-
+    def test_winner_computes_and_publishes(self, shared_dir, monkeypatch):
+        cache = ChainCache(max_bytes=2**26, disk_dir=shared_dir)
+        request = _request()
         with collect_events() as events:
-            value = _compute_through_lock(cache, key, "pmu", rng, compute)
-        assert value == "computed"
-        assert calls == [1]
+            resolved = _resolve(monkeypatch, cache, request)
+        assert resolved.source == "computed"
+        assert {e["name"] for e in _computed(events)} == set(ANALOG_SPANS)
         assert not [
             e for e in events if e["event"] == "cache.stampede_avoided"
         ]
         # Published for the next worker, with the exit RNG state.
-        other = ChainCache(max_bytes=2**20, disk_dir=shared_dir)
-        stored_value, stored_state = other.get(key)
-        assert stored_value == "computed"
-        assert stored_state["state"] == rng.bit_generator.state["state"]
+        other = ChainCache(max_bytes=2**26, disk_dir=shared_dir)
+        stored, stored_state = other.get(request.keys.capture)
+        assert np.array_equal(stored.samples, resolved.capture.samples)
+        assert stored_state["state"] == resolved.exit_state["state"]
 
-    def test_memory_only_cache_still_computes_once(self):
-        cache = ChainCache(max_bytes=2**20)
-        rng = np.random.default_rng(1)
-        value = _compute_through_lock(cache, "k" * 64, "pmu", rng, lambda: 5)
-        assert value == 5
-        assert cache.get("k" * 64) == (5, rng.bit_generator.state)
+    def test_memory_only_cache_still_computes_once(self, monkeypatch):
+        cache = ChainCache(max_bytes=2**26)
+        request = _request()
+        first = _resolve(monkeypatch, cache, request)
+        with collect_events() as events:
+            second = _resolve(monkeypatch, cache, request)
+        assert first.source == "computed"
+        assert second.source == "cache"
+        assert _computed(events) == []
+        assert second.exit_state["state"] == first.exit_state["state"]

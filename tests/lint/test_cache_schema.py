@@ -8,6 +8,7 @@ CHAIN_SCHEMA bump trips CACHE001.
 from __future__ import annotations
 
 import json
+import keyword
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,7 +201,9 @@ class TestSchemaDiscipline:
 @settings(max_examples=25, deadline=None)
 @given(
     field_name=st.from_regex(r"[a-z][a-z0-9_]{0,12}", fullmatch=True).filter(
+        # A keyword is not a field name: the snippet would not parse.
         lambda s: s not in {"name", "time_scale", "freq_scale"}
+        and not keyword.iskeyword(s)
     ),
     annotation=st.sampled_from(["float", "int", "str", "bool"]),
 )

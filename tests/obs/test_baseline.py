@@ -81,13 +81,14 @@ class TestRecordCompare:
     def test_one_percent_emission_perturbation_fails_gate(
         self, tmp_path, monkeypatch
     ):
+        import repro.batch.chain as chain_mod
+
         record(tmp_path, scenarios=["chain-emission-tiny"])
-        original = EmissionModel.synthesize
 
-        def perturbed(self, bursts, sample_rate):
-            return 1.01 * original(self, bursts, sample_rate)
+        def perturbed(field_gain):
+            return EmissionModel(field_gain=1.01 * field_gain)
 
-        monkeypatch.setattr(EmissionModel, "synthesize", perturbed)
+        monkeypatch.setattr(chain_mod, "EmissionModel", perturbed)
         report = compare(tmp_path, scenarios=["chain-emission-tiny"])
         assert not report.ok
         rendered = report.render()

@@ -15,7 +15,6 @@ import pytest
 
 from repro.exec.cache import reset_chain_cache
 from repro.exec.context import execution_scope
-from repro.exec.executor import BatchExecutor, choose_executor
 from repro.exec.pool import parallel_map
 from repro.mux.pool import ChunkPool
 from repro.mux.scheduler import StreamMultiplexer
@@ -47,9 +46,9 @@ def _noise_capture(n_samples, seed=0):
 
 
 def _sweep_spec(name):
-    """Two receiver trials with dithering on: the scalar path walks
-    every analog stage span (pmu/vrm/dither/emission/propagation/sdr)
-    and the planner/engine emit sweep.plan/group/trial."""
+    """Two receiver trials with dithering on: the chain walks every
+    analog stage span (pmu/vrm/dither/emission/propagation/sdr) and the
+    planner/engine emit sweep.plan/trial."""
     return SweepSpec(
         name=name,
         base={"bits": 24, "dithering": {"spread_rel": 0.05}},
@@ -75,18 +74,12 @@ def observed_spans():
     """Union of span names over one tiny workload per subsystem."""
     names = set()
 
-    # Scalar sweep: planner, engine, and the per-stage chain spans.
+    # Sweep: planner, engine, the per-stage chain spans, and the
+    # trial-major runner with its vector kernels.
     reset_chain_cache()
     with collect_events() as events:
         with execution_scope(cache_enabled=True):
-            run_sweep(_sweep_spec("conf-scalar"), jobs=1, batch="off")
-    names |= _span_names(events)
-
-    # Batched sweep: the trial-major runner and its vector kernels.
-    reset_chain_cache()
-    with collect_events() as events:
-        with execution_scope(cache_enabled=True):
-            run_sweep(_sweep_spec("conf-batched"), jobs=1, batch="on")
+            run_sweep(_sweep_spec("conf-sweep"), jobs=1)
     names |= _span_names(events)
     reset_chain_cache()
 
@@ -118,12 +111,6 @@ def observed_spans():
     # is the bare reference loop and intentionally spanless).
     with collect_events() as events:
         parallel_map(_square, [1, 2, 3], jobs=2)
-    names |= _span_names(events)
-
-    # Adaptive batch executor: every mode brackets its map in
-    # batch.execute; the serial decision is the cheapest to exercise.
-    with collect_events() as events:
-        BatchExecutor(choose_executor(3, jobs=1)).map(_square, [1, 2, 3])
     names |= _span_names(events)
 
     # Scenario lifecycle: setup -> run -> teardown over one component.

@@ -7,13 +7,20 @@ from repro.chain import (
     paper_tuned_frequency_hz,
     render_capture,
     render_emission,
-    run_power_chain,
     tuned_frequency_hz,
 )
 from repro.em.environment import near_field_scenario
 from repro.params import PAPER, TINY
+from repro.power.pmu import PMU
 from repro.power.workload import alternating_workload
 from repro.systems.laptops import DELL_INSPIRON
+
+
+def run_power_states(machine, activity, profile, rng, allow_c_states=True):
+    """The chain's PMU stage: activity -> power-state residencies."""
+    table = machine.power_table(allow_c=allow_c_states, allow_p=True)
+    pmu = PMU(table, governor=machine.governor(table, profile), rng=rng)
+    return pmu.run(activity)
 
 
 class TestTuning:
@@ -38,7 +45,7 @@ class TestPowerChain:
         workload = alternating_workload(
             TINY.dilate(2e-3), TINY.dilate(0.5e-3), TINY.dilate(0.5e-3)
         )
-        trace = run_power_chain(
+        trace = run_power_states(
             DELL_INSPIRON, workload, TINY, np.random.default_rng(0)
         )
         assert trace.residencies[-1].end == pytest.approx(workload.duration)
@@ -47,7 +54,7 @@ class TestPowerChain:
         workload = alternating_workload(
             TINY.dilate(2e-3), TINY.dilate(0.5e-3), TINY.dilate(0.5e-3)
         )
-        trace = run_power_chain(
+        trace = run_power_states(
             DELL_INSPIRON,
             workload,
             TINY,
