@@ -1,17 +1,17 @@
 PY := PYTHONPATH=src python
 
-.PHONY: test lint lint-fast lint-baseline bench bench-lint bench-parallel bench-stream bench-sweep bench-vector smoke-mux smoke-parallel smoke-scenario smoke-stream smoke-sweep regress regress-record
+.PHONY: test lint lint-fast lint-baseline bench bench-lint bench-parallel bench-stream bench-sweep bench-vector smoke regress regress-record
 
 test:
 	$(PY) -m pytest -x -q
 
 # Static-analysis gate, three layers:
-#   1. repro.lint  - repo-specific determinism, cache-coherence and
-#                    cross-module flow rules (DET/CACHE/CONC/TRACE/
-#                    FLOAT/ASYNC/RES/SCEN, see DESIGN.md sections 13+17)
-#                    over src/repro, plus a narrowed determinism pass
-#                    (DET001/DET002) over tests/ and benchmarks/ - the
-#                    repro-scoped cross-module rules do not apply there
+#   1. repro.lint  - repo-specific determinism and cache-coherence
+#                    rules (DET/CACHE/CONC/TRACE/FLOAT, see DESIGN.md
+#                    sections 13+17) over src/repro, plus a narrowed
+#                    determinism pass (DET001/DET002) over tests/ and
+#                    benchmarks/ - the repro-scoped rules do not apply
+#                    there
 #   2. ruff        - general pyflakes/pycodestyle errors + format check
 #   3. mypy        - types, strict on repro.exec / repro.sweep
 # ruff and mypy are optional locally (install with `pip install -e
@@ -88,41 +88,29 @@ bench-vector:
 	$(PY) -m pytest benchmarks/test_bench_vector.py \
 		--benchmark-only --benchmark-json=BENCH_vector.json
 
-# Quick end-to-end sanity check of the fleet multiplexer: a tiny
-# 32-stream mixed fleet (covert + keylog + clockmod) through the
-# batched cross-stream DSP tick, finalised decodes checked against the
-# per-stream golden path (the command exits non-zero on divergence).
-smoke-mux:
-	$(PY) -m repro mux --fleet stream-covert=16 --fleet keylog=8 \
-		--fleet clockmod-fsk=8 --check
-
-# Quick end-to-end sanity check of the process pool: one experiment
-# fanned out across two workers.
-smoke-parallel:
+# Quick end-to-end sanity checks, one per subsystem, in this order:
+#   1. process pool: one experiment fanned out across two workers;
+#   2. streaming receiver: chunked replay with arrival jitter, verified
+#      bit-exact against the batch decoder (exits non-zero on
+#      divergence);
+#   3. sweep engine: the eight-config receiver grid planned along the
+#      chain-cache key DAG and executed through the batched lane
+#      (sharded by power root when two workers are available);
+#   4. scenario framework: the two related-attack plugins against their
+#      committed metric baselines, then the conformance suite over
+#      every registered scenario (DESIGN.md section 15);
+#   5. fleet multiplexer: a 32-stream mixed fleet through the batched
+#      cross-stream DSP tick, finalised decodes checked against the
+#      per-stream golden path (exits non-zero on divergence).
+smoke:
 	$(PY) -m repro run table2 --jobs 2
-
-# Quick end-to-end sanity check of the sweep engine: the eight-config
-# receiver grid planned along the chain-cache key DAG and executed
-# through the batched lane (sharded by power root when two workers
-# are available, in-process otherwise).
-smoke-sweep:
+	$(PY) -m repro stream "smoke" --seed 1 --chunk-size 2048 --jitter 0.2
 	$(PY) -m repro sweep receiver-grid --jobs 2
-
-# Quick end-to-end sanity check of the scenario plugin framework: the
-# two related-attack plugins re-run against their committed metric
-# baselines, then the conformance suite over every registered scenario
-# (determinism, order invariance, chain-key coherence, RNG isolation -
-# see DESIGN.md section 15).
-smoke-scenario:
 	$(PY) -m repro regress --scenario scenario-ichannels-tiny \
 		--scenario scenario-clockmod-tiny
 	$(PY) -m pytest tests/scenario/test_conformance.py -q
-
-# Quick end-to-end sanity check of the streaming receiver: chunked
-# replay with arrival jitter, verified bit-exact against the batch
-# decoder (the command exits non-zero on divergence).
-smoke-stream:
-	$(PY) -m repro stream "smoke" --seed 1 --chunk-size 2048 --jitter 0.2
+	$(PY) -m repro mux --fleet stream-covert=16 --fleet keylog=8 \
+		--fleet clockmod-fsk=8 --check
 
 # Signal-quality regression gate: re-run the fixed-seed baseline
 # scenarios and fail on any metric drift (see baselines/*.json).

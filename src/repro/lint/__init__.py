@@ -12,18 +12,14 @@ CACHE001   chain inputs reach fingerprint() (cross-module call-graph
 CONC001    cache/scratch/result-store writes use the locked helpers
 TRACE001   spans use span() with registered names
 FLOAT001   no exact float equality in dsp/ and vrm/
-ASYNC001   no blocking calls reachable from async code in repro/mux
-ASYNC002   awaitables are awaited, not dropped
-RES001     pooled buffers reach release/hand-off on every CFG path
-RES002     no pooled-view reads after release
-SCEN001    scenario components publish/read only declared resources
-SCEN002    scenario randomness stays on the component's own stream
 =========  ============================================================
 
-The cross-module rules run on a project-wide symbol table + call graph
-(:mod:`repro.lint.graph`) and a per-function CFG
-(:mod:`repro.lint.cfg`); everything stays AST-level - the linted tree
-is never imported.
+CACHE001 runs on a project-wide symbol table + call graph
+(:mod:`repro.lint.graph`); everything stays AST-level - the linted
+tree is never imported.  Contracts a test can observe are checked at
+run time instead, where the data is owned: the mux pool drops a
+released chunk's samples view, and the scenario context rejects reads
+of undeclared resources and draws from another component's stream.
 
 Run with ``python -m repro lint`` (or ``make lint``; ``make lint-fast``
 uses the incremental cache, :mod:`repro.lint.cache`).  Per-line

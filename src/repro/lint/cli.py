@@ -1,8 +1,9 @@
 """``repro lint`` subcommand implementation.
 
 Exit codes: 0 clean (all findings suppressed/baselined), 1 active
-findings or parse errors, 0 after ``--write-baseline`` /
-``--update-schema`` (they are maintenance actions, not gates).
+findings or parse errors, 2 an unknown ``--select`` code, 0 after
+``--write-baseline`` / ``--update-schema`` (they are maintenance
+actions, not gates).
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ from dataclasses import replace
 from .baseline import write_baseline
 from .cache import LintCache
 from .config import LintConfig, load_config
-from .engine import rule_catalog, run_lint, write_schema_manifest
+from .engine import (
+    rule_catalog,
+    run_lint,
+    select_rules,
+    write_schema_manifest,
+)
+from .rules import all_rules
 
 
 def default_root() -> Path:
@@ -154,10 +161,15 @@ def cmd_lint(args, config: Optional[LintConfig] = None) -> int:
             Path(args.cache_dir) if args.cache_dir else root / ".lint-cache"
         )
         cache = LintCache(cache_dir)
+    try:
+        rules = select_rules(all_rules(), args.select)
+    except ValueError as exc:
+        print(f"repro lint: {exc}", file=sys.stderr)
+        return 2
     report = run_lint(
         root,
         config,
-        select=args.select,
+        rules=rules,
         paths=args.paths or None,
         baseline_path=baseline_path,
         cache=cache,

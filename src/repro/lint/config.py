@@ -99,58 +99,6 @@ class LintConfig:
     #: Path prefixes where ``==``/``!=`` on float expressions is flagged.
     float_eq_scopes: Tuple[str, ...] = ("repro/dsp/", "repro/vrm/")
 
-    # -- ASYNC001/ASYNC002: event-loop safety ------------------------------
-    #: Path prefixes whose ``async def`` functions are analyzed.
-    async_scopes: Tuple[str, ...] = ("repro/mux/",)
-    #: Dotted call names (alias-expanded) that block the event loop.
-    blocking_calls: Tuple[str, ...] = (
-        "time.sleep",
-        "os.system",
-        "subprocess.run",
-        "subprocess.Popen",
-        "subprocess.call",
-        "subprocess.check_call",
-        "subprocess.check_output",
-        "fcntl.flock",
-        "fcntl.lockf",
-        "open",
-    )
-    #: ``receiver.method`` suffixes that block (process-pool fan-out).
-    blocking_attr_calls: Tuple[str, ...] = (
-        "pool.map",
-        "pool.starmap",
-        "pool.imap",
-        "executor.map",
-    )
-    #: Method names that are file I/O no matter the receiver.
-    blocking_io_methods: Tuple[str, ...] = (
-        "write_text",
-        "write_bytes",
-        "read_text",
-        "read_bytes",
-    )
-
-    # -- RES001/RES002: pooled-buffer lifecycle ----------------------------
-    #: Path prefixes where pool acquire/release discipline is checked.
-    res_scopes: Tuple[str, ...] = ("repro/mux/",)
-    #: Modules implementing the pool itself: their internal freelist
-    #: ``.pop()`` calls are bookkeeping, not ownership acquisition.
-    res_impl_modules: Tuple[str, ...] = ("repro/mux/pool.py",)
-    #: Method names that discharge ownership of the passed buffer.
-    res_release_methods: Tuple[str, ...] = ("release",)
-    #: Attributes that alias pool-backed storage: reading them after
-    #: release observes recycled memory (plain metadata stays valid).
-    res_view_attrs: Tuple[str, ...] = ("samples",)
-
-    # -- SCEN001/SCEN002: scenario component contracts ---------------------
-    #: (module, class) of the component base every plugin derives from.
-    scenario_component_base: Tuple[str, str] = (
-        "repro/scenario/component.py",
-        "Component",
-    )
-    #: Parameter names treated as the scenario context handle.
-    scenario_context_params: Tuple[str, ...] = ("ctx",)
-
     # -- baseline ----------------------------------------------------------
     #: Committed baseline of accepted findings (content fingerprints).
     baseline_path: str = "repro/lint/baseline.json"
@@ -310,6 +258,8 @@ def load_config(
     section = _read_pyproject_section(path)
     if not section:
         return base
+    # Unknown keys - including those of retired rules - are ignored, so
+    # older project files keep loading.
     overrides = {
         name: _coerce(name, value)
         for name, value in section.items()

@@ -172,6 +172,27 @@ def load_project(
     return project, read_errors + parse_errors
 
 
+def select_rules(
+    rules: Sequence[Rule], select: Optional[Sequence[str]]
+) -> List[Rule]:
+    """``rules`` restricted to the ``select`` codes (all when empty).
+
+    Raises :class:`ValueError` naming any unknown code and the known
+    ones, so a stale code cannot silently lint nothing.
+    """
+    if not select:
+        return list(rules)
+    wanted = {code.upper() for code in select}
+    known = [rule.code for rule in rules]
+    unknown = sorted(wanted - set(known))
+    if unknown:
+        raise ValueError(
+            f"unknown rule code(s) {', '.join(unknown)}; "
+            f"known: {', '.join(known)}"
+        )
+    return [rule for rule in rules if rule.code in wanted]
+
+
 def run_lint(
     root,
     config: LintConfig = DEFAULT_CONFIG,
@@ -185,7 +206,8 @@ def run_lint(
 ) -> LintReport:
     """Lint the tree under ``root`` and return the report.
 
-    ``select`` restricts to specific rule codes; ``paths`` restricts
+    ``select`` restricts to specific rule codes (an unknown code raises
+    :class:`ValueError` naming the known ones); ``paths`` restricts
     *per-file* rules to files whose relpath starts with one of the
     given prefixes (project-level rules always see the whole tree -
     schema drift is not a per-file property).  ``baseline_path``
@@ -198,10 +220,9 @@ def run_lint(
     parallel-parse decision for cold files.
     """
     config = config or DEFAULT_CONFIG
-    active_rules = list(rules) if rules is not None else all_rules()
-    if select:
-        wanted = {code.upper() for code in select}
-        active_rules = [r for r in active_rules if r.code in wanted]
+    active_rules = select_rules(
+        all_rules() if rules is None else rules, select
+    )
     codes = tuple(rule.code for rule in active_rules)
 
     sources, read_errors = read_sources(root, config)

@@ -1,10 +1,10 @@
 """Project symbol table and call graph (AST-only, never imports).
 
-This is the cross-module core the flow-aware rules share.  It indexes
-every function and class in the walked tree, resolves call targets
-through four progressively weaker mechanisms, and offers the two
-whole-program fixpoints the rules need (sink reach for CACHE001,
-reachability with recorded call chains for ASYNC001).
+This is the cross-module core of CACHE001.  It indexes every function
+and class in the walked tree, resolves call targets through four
+progressively weaker mechanisms, and offers the two whole-program
+fixpoints the rule needs: which functions run a chain stage, and which
+of their parameters reach ``fingerprint()``.
 
 Resolution levels, strongest first:
 
@@ -20,9 +20,8 @@ Resolution levels, strongest first:
    the attribute.
 
 Anything unresolved is silently dropped: the call graph is a
-*may-call under-approximation*, which is the right polarity for the
-reachability rules (no false ASYNC findings from phantom edges) and is
-compensated in CACHE001 by the key-carrier convention (see
+*may-call under-approximation* (no phantom edges), compensated in
+CACHE001 by the key-carrier convention (see
 :meth:`ProjectGraph.sink_reach`).
 """
 
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .project import Project, SourceFile, module_relpath
 
@@ -50,7 +49,6 @@ class FunctionInfo:
     node: ast.AST  # FunctionDef | AsyncFunctionDef
     class_key: Optional[str] = None  # "relpath::ClassName" for methods
     parent_key: Optional[str] = None  # enclosing function, for nested defs
-    is_async: bool = False
 
     @property
     def params(self) -> List[str]:
@@ -72,7 +70,6 @@ class CallSite:
     caller: str  # FunctionInfo key ("" for module-level code)
     callee: str  # FunctionInfo key
     call: ast.Call
-    relpath: str  # module containing the call expression
 
 
 @dataclass
@@ -154,13 +151,10 @@ class ProjectGraph:
         self._module_aliases: Dict[str, Dict[str, str]] = {}
         #: fn key -> {name -> fn key} for immediately nested defs
         self._nested: Dict[str, Dict[str, str]] = {}
-        self._edges: List[CallSite] = []
         self._out: Dict[str, List[CallSite]] = {}
-        self._in: Dict[str, List[CallSite]] = {}
 
         for relpath, sf in sorted(project.files.items()):
             self._index_module(relpath, sf)
-        self._resolve_bases()
         for relpath in sorted(project.files):
             self._infer_attr_types(relpath)
         for relpath in sorted(project.files):
@@ -228,7 +222,6 @@ class ProjectGraph:
                     node=stmt,
                     class_key=class_info.key if class_info else None,
                     parent_key=parent_fn,
-                    is_async=isinstance(stmt, ast.AsyncFunctionDef),
                 )
                 self.functions[key] = info
                 if class_info is not None:
@@ -320,12 +313,6 @@ class ProjectGraph:
                 found = self.resolve_method(base, name, seen)
                 if found is not None:
                     return found
-        return None
-
-    def _resolve_bases(self) -> None:
-        # Nothing to precompute: resolve_method follows base_names lazily.
-        # Kept as an explicit phase marker for attr-type inference below,
-        # which must run after every class is indexed.
         return None
 
     # -- attribute types ---------------------------------------------------
@@ -532,53 +519,13 @@ class ProjectGraph:
                     caller=scope.key if scope else "",
                     callee=callee,
                     call=node,
-                    relpath=relpath,
                 )
-                self._edges.append(site)
                 self._out.setdefault(site.caller, []).append(site)
-                self._in.setdefault(site.callee, []).append(site)
 
     # -- queries -----------------------------------------------------------
 
     def callees(self, key: str) -> List[CallSite]:
         return self._out.get(key, [])
-
-    def callers(self, key: str) -> List[CallSite]:
-        return self._in.get(key, [])
-
-    def functions_in(self, relpath: str) -> List[FunctionInfo]:
-        return [
-            info
-            for info in self.functions.values()
-            if info.relpath == relpath
-        ]
-
-    def local_types(self, fn: FunctionInfo) -> Dict[str, str]:
-        """Public wrapper for per-function type environments."""
-        return self._local_types(fn)
-
-    def reachable(
-        self, start_keys: Iterable[str]
-    ) -> Dict[str, List[str]]:
-        """BFS closure of call edges: fn key -> chain from a start key.
-
-        The chain is the list of function keys walked (start first,
-        target last); start keys map to a single-element chain.
-        """
-        chains: Dict[str, List[str]] = {}
-        queue: List[str] = []
-        for key in start_keys:
-            if key in self.functions and key not in chains:
-                chains[key] = [key]
-                queue.append(key)
-        while queue:
-            current = queue.pop(0)
-            for site in self.callees(current):
-                if site.callee in chains:
-                    continue
-                chains[site.callee] = chains[current] + [site.callee]
-                queue.append(site.callee)
-        return chains
 
     def qualchain(self, chain: Sequence[str]) -> List[str]:
         """Render a key chain as ``module:qualname`` steps for reports."""

@@ -4,29 +4,17 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from .async_safety import AsyncBlockingRule, AsyncDroppedAwaitableRule
 from .base import Rule
 from .cache_schema import CacheSchemaRule
 from .concurrency import RawStoreWriteRule
 from .determinism import UnseededRandomRule, WallClockRule
 from .floats import FloatEqualityRule
-from .resources import ResourceLeakRule, UseAfterReleaseRule
-from .scenario_contracts import (
-    ScenarioRandomnessRule,
-    ScenarioResourceRule,
-)
 from .tracing import SpanDisciplineRule
 
 __all__ = [
     "Rule",
-    "AsyncBlockingRule",
-    "AsyncDroppedAwaitableRule",
     "CacheSchemaRule",
     "RawStoreWriteRule",
-    "ResourceLeakRule",
-    "UseAfterReleaseRule",
-    "ScenarioResourceRule",
-    "ScenarioRandomnessRule",
     "UnseededRandomRule",
     "WallClockRule",
     "FloatEqualityRule",
@@ -45,12 +33,6 @@ def all_rules() -> List[Rule]:
         RawStoreWriteRule(),
         SpanDisciplineRule(),
         FloatEqualityRule(),
-        AsyncBlockingRule(),
-        AsyncDroppedAwaitableRule(),
-        ResourceLeakRule(),
-        UseAfterReleaseRule(),
-        ScenarioResourceRule(),
-        ScenarioRandomnessRule(),
     ]
 
 

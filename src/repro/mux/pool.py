@@ -44,8 +44,9 @@ class PooledChunk:
     """One queued chunk: source metadata plus its slab-backed samples.
 
     ``samples`` is a view into the arena; it is valid until the chunk's
-    slab is released back to the pool (:meth:`ChunkPool.release`), after
-    which the slab may be recycled for another stream's push.
+    slab is released back to the pool (:meth:`ChunkPool.release`), which
+    sets it to ``None`` - the slab may be recycled for another stream's
+    push, so a read after release fails instead of aliasing it.
     """
 
     stream_id: str
@@ -54,7 +55,7 @@ class PooledChunk:
     arrival_s: float
     size: int
     slab: int
-    samples: np.ndarray
+    samples: Optional[np.ndarray]
 
     @property
     def end_sample(self) -> int:
@@ -258,11 +259,16 @@ class ChunkPool:
         return self._queues[stream_id]
 
     def release(self, chunk: PooledChunk) -> None:
-        """Return a popped/evicted chunk's slab to the free list."""
+        """Return a popped/evicted chunk's slab to the free list.
+
+        Drops the chunk's arena view; a rejected chunk never held a slab
+        and keeps its source samples.
+        """
         if chunk.slab < 0:
             return  # rejected chunk: never held a slab
         self._free.append(chunk.slab)
         chunk.slab = -1
+        chunk.samples = None
 
     # -- slab plumbing (StreamQueue only) ------------------------------------
 

@@ -13,6 +13,11 @@ Randomness discipline: a component draws only from ``ctx.rng(self)`` -
 its own named stream, derived from the scenario seed
 (:mod:`repro.scenario.randomness`) - so no component's draws can
 perturb another's.
+
+Both contracts are checked at run time: while the engine runs a
+component's hook (:attr:`ScenarioContext.running`), reading a resource
+the component did not declare raises :class:`KeyError`, and asking for
+another component's stream raises :class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -60,7 +65,10 @@ class ScenarioContext:
 
     Resources are write-once: a component may publish only names it
     declared in ``provides``, and no name twice - so the dependency
-    resolver's picture of the graph is always the truth.
+    resolver's picture of the graph is always the truth.  While a hook
+    runs, the component may read only names it ``requires`` or
+    ``provides``; ``has()`` probes and reads from outside a hook (the
+    harness, after the run) are unrestricted.
     """
 
     def __init__(self, scenario: str, seed: int, quick: bool = True):
@@ -74,17 +82,30 @@ class ScenarioContext:
         self.chain_keys: List[Tuple[Tuple[str, str], ...]] = []
         self._resources: Dict[str, Any] = {}
         self._owners: Dict[str, str] = {}
+        #: The component whose hook the engine is executing, if any.
+        self.running: Optional[Component] = None
 
     # -- randomness --------------------------------------------------------
 
     def rng(self, component: Component) -> np.random.Generator:
         """The component's own randomness stream (named by the component)."""
+        self._check_own_stream(component)
         return self.streams.stream(component.name)
 
     def derive_seed(self, component: Component, purpose: str = "") -> int:
         """A derived integer seed for sub-harnesses the component drives."""
+        self._check_own_stream(component)
         name = f"{component.name}.{purpose}" if purpose else component.name
         return self.streams.derive_seed(name)
+
+    def _check_own_stream(self, component: Component) -> None:
+        running = self.running
+        if running is not None and component is not running:
+            raise ValueError(
+                f"component {running.name!r} asked for the randomness "
+                f"stream of {component.name!r}; a component draws only "
+                "from its own stream"
+            )
 
     # -- resources ---------------------------------------------------------
 
@@ -103,6 +124,16 @@ class ScenarioContext:
         self._owners[name] = component.name
 
     def get(self, name: str) -> Any:
+        running = self.running
+        if (
+            running is not None
+            and name not in running.requires
+            and name not in running.provides
+        ):
+            raise KeyError(
+                f"component {running.name!r} read {name!r} but declares "
+                f"requires={running.requires!r}"
+            )
         try:
             return self._resources[name]
         except KeyError:

@@ -92,20 +92,12 @@ def run_components(
         try:
             with span("scenario.setup", {"scenario": name}):
                 for component in order:
-                    with span(
-                        "scenario.component",
-                        {"phase": "setup", "component": component.name},
-                    ):
-                        component.setup(ctx)
+                    _run_hook(ctx, component, "setup")
                     entered.append(component)
             lifecycle.advance("run")
             with span("scenario.run", {"scenario": name}):
                 for component in order:
-                    with span(
-                        "scenario.component",
-                        {"phase": "run", "component": component.name},
-                    ):
-                        component.run(ctx)
+                    _run_hook(ctx, component, "run")
         finally:
             _teardown(name, ctx, lifecycle, entered)
     ctx.gauge("scenario.components", len(order))
@@ -136,9 +128,18 @@ def _teardown(
         )
     with span("scenario.teardown", {"scenario": name}):
         for component in reversed(entered):
-            with span(
-                "scenario.component",
-                {"phase": "teardown", "component": component.name},
-            ):
-                component.teardown(ctx)
+            _run_hook(ctx, component, "teardown")
     lifecycle.advance("complete")
+
+
+def _run_hook(ctx: ScenarioContext, component: Component, phase: str) -> None:
+    """Run one hook under its span with ``component`` as ``ctx.running``
+    (what the context's declared-read and own-stream checks key on)."""
+    with span(
+        "scenario.component", {"phase": phase, "component": component.name}
+    ):
+        ctx.running = component
+        try:
+            getattr(component, phase)(ctx)
+        finally:
+            ctx.running = None

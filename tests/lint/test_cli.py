@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main
-from repro.lint import rules_by_code
+from repro.lint import rules_by_code, run_lint
 
 from .conftest import write_tree
 
@@ -25,12 +27,6 @@ ALL_CODES = [
     "CONC001",
     "TRACE001",
     "FLOAT001",
-    "ASYNC001",
-    "ASYNC002",
-    "RES001",
-    "RES002",
-    "SCEN001",
-    "SCEN002",
 ]
 
 
@@ -41,8 +37,18 @@ def test_registry_covers_the_issue_codes():
 def test_list_rules(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
+    assert [line.split()[0] for line in out.splitlines()] == ALL_CODES
+
+
+def test_unknown_select_code_is_an_error(tmp_path, capsys):
+    root = write_tree(tmp_path, VIOLATION)
+    with pytest.raises(ValueError, match="NOPE001.*known: DET001"):
+        run_lint(root, select=["DET001", "NOPE001"])
+    assert main(["lint", "--root", str(root), "--select", "RES001"]) == 2
+    err = capsys.readouterr().err
+    assert "RES001" in err
     for code in ALL_CODES:
-        assert code in out
+        assert code in err
 
 
 def test_jsonl_format(tmp_path, capsys):

@@ -22,7 +22,7 @@ name = "fixture"
 [tool.repro.lint]
 wallclock_allowlist = ["repro/stamp.py"]
 float_eq_scopes = ["repro/num/"]
-scenario_component_base = ["repro/plug/base.py", "Plugin"]
+tracked_dataclasses = [["repro/num/params.py", "Profile"]]
 
 [tool.other]
 unrelated = true
@@ -49,11 +49,11 @@ def test_pyproject_overrides_defaults(tmp_path):
     config = load_config(root)
     assert config.wallclock_allowlist == ("repro/stamp.py",)
     assert config.float_eq_scopes == ("repro/num/",)
-    # Two-element tuple fields coerce elementwise.
-    assert config.scenario_component_base == ("repro/plug/base.py", "Plugin")
+    # Nested arrays coerce to tuples of tuples.
+    assert config.tracked_dataclasses == (("repro/num/params.py", "Profile"),)
     # Untouched fields keep the built-in defaults.
     assert config.package == DEFAULT_CONFIG.package
-    assert config.blocking_calls == DEFAULT_CONFIG.blocking_calls
+    assert config.chain_scope == DEFAULT_CONFIG.chain_scope
 
 
 def test_pyproject_found_one_level_above_root(tmp_path):
@@ -85,8 +85,13 @@ def test_pyproject_false_skips_overlay(tmp_path):
 
 def test_unknown_keys_are_ignored(tmp_path):
     root = write_tree(tmp_path / "tree", TREE)
+    # Retired rule keys (older project files still carry them) load
+    # like any other unknown key.
     (root / "pyproject.toml").write_text(
         "[tool.repro.lint]\nnot_a_field = true\n"
+        'async_scopes = ["repro/mux/"]\n'
+        'scenario_component_base = ["repro/scenario/component.py", '
+        '"Component"]\n'
     )
     assert load_config(root) == DEFAULT_CONFIG
 

@@ -12,7 +12,12 @@ from __future__ import annotations
 
 import json
 
-from repro.lint import run_lint
+from repro.lint import (
+    DEFAULT_CONFIG,
+    LintConfig,
+    run_lint,
+    write_schema_manifest,
+)
 from repro.lint.findings import Finding
 
 from .conftest import write_tree
@@ -38,31 +43,53 @@ DET_TREE = {
     """,
 }
 
-ASYNC_TREE = {
-    "repro/mux/driver.py": """
-    from .helper import backoff
+#: A public chain entry point whose ``gain`` never reaches the key; the
+#: stage call sits one module away, so the finding's chain has two steps.
+CHAIN_TREE = {
+    "repro/chain.py": """
+    from .exec.cache import CHAIN_SCHEMA, fingerprint
+    from .render import render
 
-    async def pump():
-        backoff()
+    def run_chain(profile, gain):
+        key = fingerprint(CHAIN_SCHEMA, profile)
+        return render(key, gain)
     """,
-    "repro/mux/helper.py": """
-    import time
+    "repro/render.py": """
+    from .exec.timing import stage
 
-    def backoff():
-        time.sleep(0.1)
+    def render(key, gain):
+        with stage("pmu"):
+            return key, gain
+    """,
+    "repro/exec/cache.py": """
+    CHAIN_SCHEMA = "chain-v1"
+
+    def fingerprint(*objs):
+        return "digest"
+    """,
+    "repro/exec/timing.py": """
+    def stage(name):
+        return name
     """,
 }
 
+CHAIN_CONFIG = LintConfig(tracked_dataclasses=())
 
-def one_finding(tmp_path, files, select):
-    root = write_tree(tmp_path / "tree", files)
-    report = run_lint(root, select=select, baseline_path=False)
+
+def one_finding(root, select, config=DEFAULT_CONFIG):
+    report = run_lint(root, config, select=select, baseline_path=False)
     assert len(report.active) == 1, report.render_text()
     return report.active[0]
 
 
+def chain_finding(tmp_path):
+    root = write_tree(tmp_path / "tree", CHAIN_TREE)
+    write_schema_manifest(root, CHAIN_CONFIG)
+    return one_finding(root, ["CACHE001"], CHAIN_CONFIG)
+
+
 def test_record_has_required_keys_and_span_end(tmp_path):
-    finding = one_finding(tmp_path, DET_TREE, ["DET001"])
+    finding = one_finding(write_tree(tmp_path / "tree", DET_TREE), ["DET001"])
     record = json.loads(finding.as_jsonl())
     assert REQUIRED_KEYS <= set(record)
     # The violating expression spans one line; ast end positions are
@@ -80,19 +107,21 @@ def test_unknown_span_end_is_omitted():
 
 
 def test_cross_module_finding_carries_the_resolved_chain(tmp_path):
-    finding = one_finding(tmp_path, ASYNC_TREE, ["ASYNC001"])
+    finding = chain_finding(tmp_path)
     record = json.loads(finding.as_jsonl())
-    chain = record["meta"]["chain"]
-    # Steps render as relpath:qualname from the async root down to the
-    # function containing the blocking call.
-    assert chain[0] == "repro/mux/driver.py:pump"
-    assert chain[-1] == "repro/mux/helper.py:backoff"
-    # The finding anchors at the blocking call, not the root.
-    assert record["path"] == "repro/mux/helper.py"
+    assert "'gain'" in record["message"]
+    # Steps render as relpath:qualname from the entry point down to the
+    # function containing the stage call.
+    assert record["meta"]["chain"] == [
+        "repro/chain.py:run_chain",
+        "repro/render.py:render",
+    ]
+    # The finding anchors at the entry point, not the stage.
+    assert record["path"] == "repro/chain.py"
 
 
 def test_from_dict_round_trips_the_record(tmp_path):
-    finding = one_finding(tmp_path, ASYNC_TREE, ["ASYNC001"])
+    finding = chain_finding(tmp_path)
     record = finding.as_dict()
     record["line_text"] = finding.line_text
     rebuilt = Finding.from_dict(record)

@@ -88,17 +88,6 @@ def test_nested_def_scope_chain(tmp_path):
     assert fn_key("repro/alpha.py", "outer.inner") in callees
 
 
-def test_reachable_returns_shortest_chains(tmp_path):
-    graph = graph_of(tmp_path)
-    root = fn_key("repro/alpha.py", "Engine.run")
-    chains = graph.reachable([root])
-    assert chains[root] == [root]
-    helper = fn_key("repro/beta.py", "helper")
-    assert chains[helper] == [root, helper]
-    steps = graph.qualchain(chains[helper])
-    assert steps == ["repro/alpha.py:Engine.run", "repro/beta.py:helper"]
-
-
 def test_no_phantom_edges_for_unknown_receivers(tmp_path):
     """Unresolvable calls produce no edges (may-call under-approximation)."""
     graph = graph_of(

@@ -67,63 +67,6 @@ SEEDED_VIOLATIONS = [
         + "\n\ndef _seeded_float001(x):\n"
         + "    return x == 0.25\n",
     ),
-    (
-        "ASYNC001",
-        "repro/mux/scheduler.py",
-        lambda text: text
-        + "\n\nasync def _seeded_async001():\n"
-        + "    import time as _t\n\n"
-        + "    _t.sleep(0.01)\n",
-    ),
-    (
-        "ASYNC002",
-        "repro/mux/scheduler.py",
-        lambda text: text
-        + "\n\nasync def _seeded_async002():\n"
-        + "    import asyncio as _aio\n\n"
-        + "    _aio.sleep(0)\n",
-    ),
-    (
-        "RES001",
-        "repro/mux/scheduler.py",
-        lambda text: text
-        + "\n\ndef _seeded_res001(pool):\n"
-        + "    chunk = pool.pop()\n"
-        + "    chunk.size = 0\n",
-    ),
-    (
-        "RES002",
-        "repro/mux/scheduler.py",
-        lambda text: text
-        + "\n\ndef _seeded_res002(pool):\n"
-        + "    chunk = pool.pop()\n"
-        + "    pool.release(chunk)\n"
-        + "    return chunk.samples\n",
-    ),
-    (
-        "SCEN001",
-        "repro/scenario/components/receivers.py",
-        lambda text: text
-        + "\n\nclass _SeededScen001(Component):\n"
-        + '    slot = "seeded"\n'
-        + '    name = "seeded-scen001"\n'
-        + '    provides = ("seeded.out",)\n'
-        + "    requires = ()\n\n"
-        + "    def run(self, ctx):\n"
-        + '        ctx.publish(self, "seeded.undeclared", 1)\n',
-    ),
-    (
-        "SCEN002",
-        "repro/scenario/components/receivers.py",
-        lambda text: text
-        + "\n\nclass _SeededScen002(Component):\n"
-        + '    slot = "seeded2"\n'
-        + '    name = "seeded-scen002"\n'
-        + "    provides = ()\n"
-        + "    requires = ()\n\n"
-        + "    def run(self, ctx):\n"
-        + "        return np.random.standard_normal(4)\n",
-    ),
 ]
 
 

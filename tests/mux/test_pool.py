@@ -46,6 +46,9 @@ class TestPoolBasics:
         assert pooled.samples.base is not chunk.samples
         pool.release(pooled)
         assert pool.in_use == 0
+        # The view is dropped: a read after release cannot alias the
+        # recycled slab.
+        assert pooled.samples is None
 
     def test_release_is_idempotent(self):
         pool = ChunkPool(2, 16)
@@ -117,6 +120,7 @@ class TestDropOldest:
         queue.push(_chunk(0))
         (victim,) = queue.push(_chunk(1))
         assert victim.slab == -1  # released on eviction
+        assert victim.samples is None
         assert pool.in_use == 1  # only the admitted chunk holds a slab
 
     def test_pool_exhaustion_evicts_own_oldest(self):
@@ -144,6 +148,7 @@ class TestDropOldest:
         assert qb.dropped_chunks == 1
         pool.release(dropped[0])  # releasing a rejected chunk: no-op
         assert pool.in_use == 1
+        assert dropped[0].samples is incoming.samples
 
 
 class TestZeroCapacity:

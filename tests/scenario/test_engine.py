@@ -230,6 +230,71 @@ class TestEngine:
         assert outcome.record_for("sum")["digest"] == "6"
 
 
+class TestRuntimeContracts:
+    """While a hook runs, the context enforces the component's
+    declarations; outside a hook it is an unrestricted read surface."""
+
+    def _pair(self, consume):
+        def publish(self, ctx):
+            ctx.publish(self, "payload", [1, 2, 3])
+            ctx.publish(self, "extra", 4)
+
+        return [
+            component(
+                "transmitter", "tx", provides=("payload", "extra"),
+                run=publish,
+            ),
+            component("receiver", "rx", requires=("payload",), run=consume),
+        ]
+
+    def test_undeclared_read_rejected(self):
+        def consume(self, ctx):
+            ctx.get("extra")
+
+        with pytest.raises(KeyError, match="'rx' read 'extra'"):
+            run_components("t", self._pair(consume), seed=0)
+
+    @pytest.mark.parametrize("method", ["rng", "derive_seed"])
+    def test_foreign_stream_rejected(self, method):
+        def consume(self, ctx):
+            getattr(ctx, method)(comps[0])
+
+        comps = self._pair(consume)
+        with pytest.raises(ValueError, match="stream of 'tx'"):
+            run_components("t", comps, seed=0)
+
+    def test_declared_reads_own_stream_and_reads_after_the_run(self):
+        seen = {}
+
+        def consume(self, ctx):
+            seen["ctx"] = ctx
+            assert ctx.has("extra")  # probes are unrestricted
+            ctx.rng(self).integers(1 << 30)  # its own stream is fine
+            ctx.add_record(
+                {"label": "sum", "digest": str(sum(ctx.get("payload")))}
+            )
+
+        outcome = run_components("t", self._pair(consume), seed=0)
+        assert outcome.record_for("sum")["digest"] == "6"
+        ctx = seen["ctx"]
+        assert ctx.running is None
+        # The harness reads anything once no hook is running.
+        assert ctx.get("extra") == 4
+        assert ctx.rng(component(name="rx")) is not None
+
+    def test_running_is_cleared_when_a_hook_raises(self):
+        seen = {}
+
+        def consume(self, ctx):
+            seen["ctx"] = ctx
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            run_components("t", self._pair(consume), seed=0)
+        assert seen["ctx"].running is None
+        assert seen["ctx"].get("extra") == 4
+
+
 class TestRegistry:
     def test_factory_spec_cross_check(self):
         spec = ScenarioSpec(
