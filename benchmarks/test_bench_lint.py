@@ -4,8 +4,7 @@ The claim under test (ISSUE 10, satellite 1): with the content-hash
 cache (:mod:`repro.lint.cache`) a warm ``repro lint`` over an unchanged
 tree - which hashes every source file, hits the run-layer entry, and
 re-applies only the baseline - beats the cold run (parse every module,
-build the project call graph, run all twelve rules) by >= 3x, with a
-byte-identical finding set.
+then run all six rules) by >= 3x, with a byte-identical finding set.
 
 Both sides run in-process over the shipped tree with the same config
 the real gate uses (``load_config``: defaults + ``[tool.repro.lint]``).

@@ -272,8 +272,9 @@ class ChainCache:
         try:
             with path.open("rb") as fh:
                 return pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError):
+        except (OSError, pickle.UnpicklingError, EOFError, ValueError):
             return None  # torn or foreign file: treat as a miss
+
     def _disk_write(self, key: str, value: Any) -> None:
         path = self._disk_path(key)
         if path is None:

@@ -6,20 +6,19 @@ but (until now) enforced only by convention:
 =========  ============================================================
 DET001     all randomness flows from trial-seeded Generators
 DET002     wall-clock reads stay inside the explicit allowlist
-CACHE001   chain inputs reach fingerprint() (cross-module call-graph
-           proof); fingerprinted dataclass changes bump CHAIN_SCHEMA
-           and refresh the manifest
+CACHE001   fingerprinted dataclass changes bump CHAIN_SCHEMA and
+           refresh the manifest
 CONC001    cache/scratch/result-store writes use the locked helpers
 TRACE001   spans use span() with registered names
 FLOAT001   no exact float equality in dsp/ and vrm/
 =========  ============================================================
 
-CACHE001 runs on a project-wide symbol table + call graph
-(:mod:`repro.lint.graph`); everything stays AST-level - the linted
-tree is never imported.  Contracts a test can observe are checked at
-run time instead, where the data is owned: the mux pool drops a
-released chunk's samples view, and the scenario context rejects reads
-of undeclared resources and draws from another component's stream.
+Everything stays AST-level - the linted tree is never imported.
+Contracts a test can observe are checked at run time instead, where
+the data is owned: the mux pool drops a released chunk's samples view,
+the scenario context rejects reads of undeclared resources and draws
+from another component's stream, and ``tests/exec/test_key_coverage.py``
+runs the chain to prove every physics input reaches its cache key.
 
 Run with ``python -m repro lint`` (or ``make lint``; ``make lint-fast``
 uses the incremental cache, :mod:`repro.lint.cache`).  Per-line

@@ -136,7 +136,7 @@ class LintCache:
     def _read_json(path: Path) -> Optional[Any]:
         try:
             return json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):  # incl. JSON and UTF-8 decode errors
             return None
 
     # -- AST layer ---------------------------------------------------------
@@ -147,7 +147,9 @@ class LintCache:
             tree = pickle.loads(path.read_bytes())
             self.stats.ast_hits += 1
             return tree
-        except (OSError, pickle.PickleError, EOFError, AttributeError):
+        except (
+            OSError, pickle.PickleError, EOFError, AttributeError, ValueError
+        ):
             self.stats.ast_misses += 1
             return None
 

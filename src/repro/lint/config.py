@@ -35,30 +35,6 @@ class LintConfig:
     wallclock_allowlist: Tuple[str, ...] = ("repro/obs/manifest.py",)
 
     # -- CACHE001: cache-schema drift --------------------------------------
-    #: Module holding the chain key construction.
-    chain_module: str = "repro/chain.py"
-    #: Scope of the cross-module key-coverage check: every *public*
-    #: stage runner in these files/directories (entries ending with
-    #: "/" are prefixes) must prove its parameters reach fingerprint().
-    chain_scope: Tuple[str, ...] = ("repro/chain.py", "repro/batch/")
-    #: Parameter names that are plumbing, not physics inputs.
-    plumbing_params: Tuple[str, ...] = (
-        "self",
-        "cache",
-        "key",
-        "on_hit",
-        "compute",
-    )
-    #: Attribute names that hold *already-fingerprinted* cache keys
-    #: (sweep plans precompute them); reaching such an attribute of a
-    #: parameter proves the parameter's key coverage.
-    key_carrier_attrs: Tuple[str, ...] = (
-        "keys",
-        "key",
-        "digital_id",
-        "trial_id",
-        "digital_prefix_id",
-    )
     #: Module and constant naming the chain schema tag.
     schema_const_module: str = "repro/exec/cache.py"
     schema_const_name: str = "CHAIN_SCHEMA"
@@ -112,16 +88,6 @@ class LintConfig:
                 if relpath.startswith(pattern):
                     return True
             elif relpath == pattern:
-                return True
-        return False
-
-    def in_scope(self, relpath: str, scopes: Tuple[str, ...]) -> bool:
-        """True when ``relpath`` matches a file or "dir/" prefix entry."""
-        for entry in scopes:
-            if entry.endswith("/"):
-                if relpath.startswith(entry):
-                    return True
-            elif relpath == entry:
                 return True
         return False
 

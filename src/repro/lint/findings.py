@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict
 
 
@@ -38,7 +38,6 @@ class Finding:
     end_col: int = 0
     suppressed: bool = False  # a `# lint: disable=` comment covers it
     baselined: bool = False  # the committed baseline covers it
-    meta: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def fingerprint(self) -> str:
@@ -56,9 +55,7 @@ class Finding:
         ``line``/``col`` (span start), ``end_line``/``end_col`` (span
         end, present when known), ``severity``, ``message``,
         ``fingerprint`` (content-addressed baseline identity),
-        ``suppressed``, ``baselined``, and optional ``meta`` - for
-        cross-module findings ``meta.chain`` lists the resolved call
-        chain as ``module:qualname`` steps.
+        ``suppressed`` and ``baselined``.
         """
         record: Dict[str, Any] = {
             "rule": self.rule,
@@ -74,8 +71,6 @@ class Finding:
         if self.end_line:
             record["end_line"] = self.end_line
             record["end_col"] = self.end_col
-        if self.meta:
-            record["meta"] = self.meta
         return record
 
     @classmethod
@@ -96,7 +91,6 @@ class Finding:
             severity=record.get("severity", "error"),
             end_line=record.get("end_line", 0),
             end_col=record.get("end_col", 0),
-            meta=dict(record.get("meta", {})),
         )
 
     def as_jsonl(self) -> str:

@@ -40,7 +40,6 @@ class Rule:
         node_or_line,
         message: str,
         col: Optional[int] = None,
-        **meta,
     ) -> Finding:
         """Build a Finding from a SourceFile + AST node (or explicit line)."""
         end_line = end_col = 0
@@ -66,7 +65,6 @@ class Rule:
             line_text=text,
             end_line=end_line,
             end_col=end_col,
-            meta=meta,
         )
 
 

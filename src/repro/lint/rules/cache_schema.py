@@ -1,55 +1,32 @@
 """CACHE001: cache-schema drift.
 
-The chain cache is sound only while two contracts hold:
+The key-relevant dataclass *shapes* are part of the chain cache key
+only implicitly (a new field changes every digest), so any change to
+the fingerprinted dataclass graph must be accompanied by a
+``CHAIN_SCHEMA`` bump; otherwise a disk cache written by the old code
+is silently consulted with keys computed by the new code (or vice versa
+after a revert, which is the dangerous direction: same key, different
+physics).
 
-1. *Key coverage* - every input that can change a stage's physics
-   reaches that stage's ``fingerprint()`` call.  Because
-   ``fingerprint`` hashes dataclasses field-by-field, this reduces to:
-   every parameter of a public chain entry point must flow (possibly
-   through local helper calls) into some ``fingerprint()`` argument.
-
-2. *Schema discipline* - the key-relevant dataclass *shapes* are part
-   of the key only implicitly (a new field changes every digest), so
-   any change to the fingerprinted dataclass graph must be accompanied
-   by a ``CHAIN_SCHEMA`` bump; otherwise a disk cache written by the
-   old code is silently consulted with keys computed by the new code
-   (or vice versa after a revert, which is the dangerous direction:
-   same key, different physics).
-
-Contract 2 is enforced against a committed manifest
+The rule checks that contract against a committed manifest
 (``repro/lint/chain_schema.json``) recording the schema tag and the
 transitive field lists; ``repro lint --update-schema`` regenerates it
-after an intentional, schema-bumped change.
+after an intentional, schema-bumped change.  Key *coverage* - every
+physics input reaching its stage key - is checked by running the chain
+(``tests/exec/test_key_coverage.py``), not statically.
 """
 
 from __future__ import annotations
 
-import ast
 import json
-from typing import Dict, List, Optional, Set
+from typing import Dict, List
 
 from ..config import LintConfig
 from ..findings import Finding
-from ..graph import ProjectGraph, project_graph
 from ..project import Project
 from .base import Rule
 
 MANIFEST_SCHEMA = "repro-lint-chain-schema-v1"
-
-#: Parameter names that are plumbing, not physics inputs (the live set
-#: comes from ``LintConfig.plumbing_params``; this mirrors the historic
-#: default for callers that used the module constant directly).
-_PLUMBING_PARAMS = {"self", "cache", "key", "on_hit", "compute"}
-
-
-def _names_in(node: ast.AST) -> Set[str]:
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-
-
-def _call_name(call: ast.Call) -> Optional[str]:
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    return None
 
 
 def compute_schema_manifest(
@@ -70,114 +47,16 @@ def compute_schema_manifest(
 
 
 class CacheSchemaRule(Rule):
-    """CACHE001: key coverage + schema-bump discipline."""
+    """CACHE001: schema-bump discipline against the manifest."""
 
     code = "CACHE001"
     name = "cache-schema-drift"
     description = (
-        "chain inputs must reach fingerprint(); fingerprinted dataclass "
-        "changes must bump CHAIN_SCHEMA and refresh the manifest"
+        "fingerprinted dataclass changes must bump CHAIN_SCHEMA and "
+        "refresh the manifest"
     )
 
     def check_project(
-        self, project: Project, config: LintConfig
-    ) -> List[Finding]:
-        findings: List[Finding] = []
-        findings.extend(self._check_key_coverage(project, config))
-        findings.extend(self._check_manifest(project, config))
-        return findings
-
-    # -- contract 1: key coverage across the chain scope -------------------
-
-    def _check_key_coverage(
-        self, project: Project, config: LintConfig
-    ) -> List[Finding]:
-        graph = project_graph(project)
-        runners = graph.stage_runner_keys()
-        reach = graph.sink_reach(
-            "fingerprint", key_carrier_attrs=config.key_carrier_attrs
-        )
-        plumbing = set(config.plumbing_params) | _PLUMBING_PARAMS
-        findings: List[Finding] = []
-        for key in sorted(runners):
-            info = graph.functions[key]
-            if not config.in_scope(info.relpath, config.chain_scope):
-                continue
-            if "." in info.qualname or info.name.startswith("_"):
-                continue  # nested/private stages: covered by callers
-            sf = project.get(info.relpath)
-            if sf is None:
-                continue
-            chain = self._stage_chain(graph, key, runners)
-            for param in info.params:
-                if param in plumbing or param.startswith("k_"):
-                    continue
-                if param in reach[key]:
-                    continue
-                findings.append(
-                    self.finding(
-                        sf,
-                        info.node,
-                        f"parameter {param!r} of chain entry point "
-                        f"{info.name}() never reaches fingerprint(); "
-                        "stale cache entries would be served when it "
-                        "changes",
-                        chain=chain,
-                    )
-                )
-        for relpath in sorted(project.files):
-            if not config.in_scope(relpath, config.chain_scope):
-                continue
-            sf = project.files[relpath]
-            for node in ast.walk(sf.tree):
-                if (
-                    isinstance(node, ast.Call)
-                    and _call_name(node) == "fingerprint"
-                    and config.schema_const_name not in _names_in(node)
-                ):
-                    findings.append(
-                        self.finding(
-                            sf,
-                            node,
-                            "chain-key fingerprint() call without "
-                            f"{config.schema_const_name}; stale disk "
-                            "caches from older chain semantics could be "
-                            "served",
-                        )
-                    )
-        return findings
-
-    @staticmethod
-    def _stage_chain(
-        graph: ProjectGraph, start: str, runners: Set[str]
-    ) -> List[str]:
-        """Call chain from a runner to the nearest direct stage() call."""
-
-        def has_direct_stage(key: str) -> bool:
-            for node in ast.walk(graph.functions[key].node):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id == "stage"
-                ):
-                    return True
-            return False
-
-        chains = {start: [start]}
-        queue = [start]
-        while queue:
-            current = queue.pop(0)
-            if has_direct_stage(current):
-                return graph.qualchain(chains[current])
-            for site in graph.callees(current):
-                if site.callee in runners and site.callee not in chains:
-                    chains[site.callee] = chains[current] + [site.callee]
-                    queue.append(site.callee)
-        return graph.qualchain([start])
-
-    # -- contract 2: manifest vs tree --------------------------------------
-
-    def _check_manifest(
         self, project: Project, config: LintConfig
     ) -> List[Finding]:
         current = compute_schema_manifest(project, config)

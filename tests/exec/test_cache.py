@@ -120,6 +120,15 @@ class TestDiskLayer:
         path.write_bytes(b"\x80\x04not a pickle")
         assert cache.get("abcd") is None
 
+    def test_newer_protocol_file_is_a_miss(self, tmp_path):
+        # A newer Python sharing the cache dir writes a protocol this
+        # one cannot read; pickle raises ValueError, not UnpicklingError.
+        cache = ChainCache(max_bytes=1 << 20, disk_dir=tmp_path)
+        path = tmp_path / "ab" / "abcd.pkl"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"\x80\x09foreign")
+        assert cache.get("abcd") is None
+
 
 class TestConfigBinding:
     def test_disabled_config_returns_none(self):

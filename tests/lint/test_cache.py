@@ -101,6 +101,24 @@ def test_corrupt_entries_read_as_misses(tmp_path):
     assert fingerprints(warm) == fingerprints(cold)
 
 
+def test_newer_protocol_ast_reads_as_a_miss(tmp_path):
+    cache = LintCache(tmp_path / "cache")
+    path = tmp_path / "cache" / "asts" / "abcd.pkl"
+    path.parent.mkdir(parents=True)
+    path.write_bytes(b"\x80\x09foreign")
+    assert cache.load_tree("abcd") is None
+    assert cache.stats.ast_misses == 1
+
+
+def test_non_utf8_entry_reads_as_a_miss(tmp_path):
+    cache = LintCache(tmp_path / "cache")
+    path = tmp_path / "cache" / "runs" / "abcd.json"
+    path.parent.mkdir(parents=True)
+    path.write_bytes(b"\xff\xfe not utf-8")
+    assert cache.load_run("abcd") is None
+    assert cache.stats.run_misses == 1
+
+
 def test_baseline_is_reapplied_on_run_hits(tmp_path):
     root = write_tree(tmp_path / "tree", TREE)
     cache = LintCache(tmp_path / "cache")

@@ -1,8 +1,9 @@
-"""CACHE001 fixtures: key coverage and schema-bump discipline.
+"""CACHE001 fixtures: schema-bump discipline against the manifest.
 
-Includes the property test required by the issue: adding *any*
-synthetic field to a fingerprinted params dataclass without a
-CHAIN_SCHEMA bump trips CACHE001.
+Includes a property test: adding *any* synthetic field to a
+fingerprinted params dataclass without a CHAIN_SCHEMA bump trips
+CACHE001.  Key coverage is checked by running the chain instead
+(``tests/exec/test_key_coverage.py``).
 """
 
 from __future__ import annotations
@@ -17,55 +18,8 @@ from repro.lint import LintConfig, run_lint, write_schema_manifest
 
 from .conftest import codes, write_tree
 
-#: A minimal chain whose public entry point covers all its physics
-#: parameters via the key builder.
-COVERED_CHAIN = """
-from .exec.cache import CHAIN_SCHEMA, fingerprint
-from .exec.timing import stage
-
-
-def chain_key(machine, profile, rng):
-    return fingerprint(CHAIN_SCHEMA, machine, profile, rng)
-
-
-def run_chain(machine, profile, rng):
-    key = chain_key(machine, profile, rng)
-    with stage("pmu"):
-        return machine, profile, key
-"""
-
-#: Same chain, but the entry point grew a physics knob (``gain``) that
-#: never reaches fingerprint() - the drift CACHE001 exists to catch.
-UNCOVERED_CHAIN = """
-from .exec.cache import CHAIN_SCHEMA, fingerprint
-from .exec.timing import stage
-
-
-def chain_key(machine, profile, rng):
-    return fingerprint(CHAIN_SCHEMA, machine, profile, rng)
-
-
-def run_chain(machine, profile, rng, gain):
-    key = chain_key(machine, profile, rng)
-    with stage("pmu"):
-        return machine, profile, gain, key
-"""
-
 CACHE_MODULE = """
 CHAIN_SCHEMA = "chain-v1"
-
-
-def fingerprint(*objs):
-    return "digest"
-"""
-
-TIMING_MODULE = """
-from contextlib import contextmanager
-
-
-@contextmanager
-def stage(name):
-    yield
 """
 
 PARAMS_MODULE = """
@@ -84,12 +38,10 @@ FIXTURE_CONFIG = LintConfig(
 )
 
 
-def base_files(chain: str = COVERED_CHAIN, params: str = PARAMS_MODULE):
+def base_files():
     return {
-        "repro/chain.py": chain,
         "repro/exec/cache.py": CACHE_MODULE,
-        "repro/exec/timing.py": TIMING_MODULE,
-        "repro/params.py": params,
+        "repro/params.py": PARAMS_MODULE,
     }
 
 
@@ -103,40 +55,6 @@ def lint(root):
     return run_lint(
         root, FIXTURE_CONFIG, select=["CACHE001"], baseline_path=False
     )
-
-
-class TestKeyCoverage:
-    def test_covered_chain_clean(self, tmp_path):
-        root = build(tmp_path, base_files())
-        assert codes(lint(root)) == []
-
-    def test_uncovered_parameter_flagged(self, tmp_path):
-        root = build(tmp_path, base_files(chain=UNCOVERED_CHAIN))
-        report = lint(root)
-        assert codes(report) == ["CACHE001"]
-        assert "'gain'" in report.active[0].message
-
-    def test_fingerprint_without_schema_tag_flagged(self, tmp_path):
-        files = base_files()
-        files["repro/chain.py"] = files["repro/chain.py"].replace(
-            "fingerprint(CHAIN_SCHEMA, machine, profile, rng)",
-            "fingerprint(machine, profile, rng)",
-        )
-        root = build(tmp_path, files)
-        report = lint(root)
-        assert codes(report) == ["CACHE001"]
-        assert "CHAIN_SCHEMA" in report.active[0].message
-
-    def test_coverage_through_keyword_arguments(self, tmp_path):
-        chain = COVERED_CHAIN.replace(
-            "chain_key(machine, profile, rng)",
-            "chain_key(machine, profile=profile, rng=rng)",
-        )
-        root = build(
-            tmp_path,
-            {**base_files(), "repro/chain.py": chain},
-        )
-        assert codes(lint(root)) == []
 
 
 class TestSchemaDiscipline:

@@ -53,7 +53,7 @@ def test_pyproject_overrides_defaults(tmp_path):
     assert config.tracked_dataclasses == (("repro/num/params.py", "Profile"),)
     # Untouched fields keep the built-in defaults.
     assert config.package == DEFAULT_CONFIG.package
-    assert config.chain_scope == DEFAULT_CONFIG.chain_scope
+    assert config.raw_write_allowlist == DEFAULT_CONFIG.raw_write_allowlist
 
 
 def test_pyproject_found_one_level_above_root(tmp_path):
@@ -92,6 +92,9 @@ def test_unknown_keys_are_ignored(tmp_path):
         'async_scopes = ["repro/mux/"]\n'
         'scenario_component_base = ["repro/scenario/component.py", '
         '"Component"]\n'
+        'chain_scope = ["repro/chain.py", "repro/batch/"]\n'
+        'plumbing_params = ["self", "cache"]\n'
+        'key_carrier_attrs = ["keys", "trial_id"]\n'
     )
     assert load_config(root) == DEFAULT_CONFIG
 
@@ -111,16 +114,16 @@ def test_fallback_parser_multiline_arrays_and_comments():
         """
         [tool.repro.lint]
         # a comment line
-        chain_scope = [
-            "repro/chain.py",
-            "repro/batch/",
+        float_eq_scopes = [
+            "repro/dsp/",
+            "repro/vrm/",
         ]
         package = "repro"
         """
     )
     section = _parse_toml_section_fallback(text, "tool.repro.lint")
     assert section == {
-        "chain_scope": ["repro/chain.py", "repro/batch/"],
+        "float_eq_scopes": ["repro/dsp/", "repro/vrm/"],
         "package": "repro",
     }
 

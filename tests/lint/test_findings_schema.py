@@ -2,22 +2,16 @@
 
 Every record carries ``rule/path/line/col/severity/message/fingerprint/
 suppressed/baselined``; ``end_line``/``end_col`` bound the offending
-span when the AST knows it; cross-module rules attach ``meta.chain``,
-the resolved call chain as ``relpath:qualname`` steps.  Downstream
-tooling (the incremental cache, report consumers, editors) parses these
-records, so the shape is a contract, not an implementation detail.
+span when the AST knows it.  Downstream tooling (the incremental cache,
+report consumers, editors) parses these records, so the shape is a
+contract, not an implementation detail.
 """
 
 from __future__ import annotations
 
 import json
 
-from repro.lint import (
-    DEFAULT_CONFIG,
-    LintConfig,
-    run_lint,
-    write_schema_manifest,
-)
+from repro.lint import run_lint
 from repro.lint.findings import Finding
 
 from .conftest import write_tree
@@ -43,49 +37,11 @@ DET_TREE = {
     """,
 }
 
-#: A public chain entry point whose ``gain`` never reaches the key; the
-#: stage call sits one module away, so the finding's chain has two steps.
-CHAIN_TREE = {
-    "repro/chain.py": """
-    from .exec.cache import CHAIN_SCHEMA, fingerprint
-    from .render import render
 
-    def run_chain(profile, gain):
-        key = fingerprint(CHAIN_SCHEMA, profile)
-        return render(key, gain)
-    """,
-    "repro/render.py": """
-    from .exec.timing import stage
-
-    def render(key, gain):
-        with stage("pmu"):
-            return key, gain
-    """,
-    "repro/exec/cache.py": """
-    CHAIN_SCHEMA = "chain-v1"
-
-    def fingerprint(*objs):
-        return "digest"
-    """,
-    "repro/exec/timing.py": """
-    def stage(name):
-        return name
-    """,
-}
-
-CHAIN_CONFIG = LintConfig(tracked_dataclasses=())
-
-
-def one_finding(root, select, config=DEFAULT_CONFIG):
-    report = run_lint(root, config, select=select, baseline_path=False)
+def one_finding(root, select):
+    report = run_lint(root, select=select, baseline_path=False)
     assert len(report.active) == 1, report.render_text()
     return report.active[0]
-
-
-def chain_finding(tmp_path):
-    root = write_tree(tmp_path / "tree", CHAIN_TREE)
-    write_schema_manifest(root, CHAIN_CONFIG)
-    return one_finding(root, ["CACHE001"], CHAIN_CONFIG)
 
 
 def test_record_has_required_keys_and_span_end(tmp_path):
@@ -106,22 +62,8 @@ def test_unknown_span_end_is_omitted():
     assert "end_line" not in record and "end_col" not in record
 
 
-def test_cross_module_finding_carries_the_resolved_chain(tmp_path):
-    finding = chain_finding(tmp_path)
-    record = json.loads(finding.as_jsonl())
-    assert "'gain'" in record["message"]
-    # Steps render as relpath:qualname from the entry point down to the
-    # function containing the stage call.
-    assert record["meta"]["chain"] == [
-        "repro/chain.py:run_chain",
-        "repro/render.py:render",
-    ]
-    # The finding anchors at the entry point, not the stage.
-    assert record["path"] == "repro/chain.py"
-
-
 def test_from_dict_round_trips_the_record(tmp_path):
-    finding = chain_finding(tmp_path)
+    finding = one_finding(write_tree(tmp_path / "tree", DET_TREE), ["DET001"])
     record = finding.as_dict()
     record["line_text"] = finding.line_text
     rebuilt = Finding.from_dict(record)
