@@ -5,9 +5,9 @@ chain's Python dispatch (FFT plans, window tables, filter taps, LO
 synthesis) N times.  This package cuts the loop nest trial-major:
 
 * :mod:`repro.batch.kernels` - stacked ndarray kernels for the hot
-  stages (scatter deposit, pulse convolution, mix, decimate, the
-  union-of-positions STFT), each bit-identical per row to its
-  one-row form and chunked to bound peak memory.
+  analog stages (scatter deposit, pulse convolution, mix, decimate),
+  each bit-identical per row to its one-row form and chunked to bound
+  peak memory.
 * :mod:`repro.batch.chain` - :func:`render_captures_batched`: the one
   chain resolver.  It resolves N trials' captures through the layered
   chain cache with each distinct node computed exactly once, grouped
@@ -15,14 +15,14 @@ synthesis) N times.  This package cuts the loop nest trial-major:
   of one.
 * :mod:`repro.batch.runner` - :func:`run_trials_batched`: the sweep
   engine's execution lane, producing records bit-identical to naive
-  per-trial execution (schema, decoded bits, RNG digests).
+  per-trial execution (schema, decoded bits, RNG digests); its
+  receiver tails share one union-of-positions
+  :func:`repro.dsp.stft.band_energy` call per capture.
 """
 
 from .chain import ChainRequest, ResolvedCapture, render_captures_batched
 from .kernels import (
     CHUNK_BYTES,
-    EnvelopeRequest,
-    batched_band_energy,
     batched_bincount,
     batched_convolve_full,
     batched_decimate,
@@ -33,9 +33,7 @@ from .runner import run_trials_batched
 __all__ = [
     "CHUNK_BYTES",
     "ChainRequest",
-    "EnvelopeRequest",
     "ResolvedCapture",
-    "batched_band_energy",
     "batched_bincount",
     "batched_convolve_full",
     "batched_decimate",

@@ -15,10 +15,11 @@ the scalar path -
   each row with the same FFT length and the same complex arithmetic as
   the per-row call, so rows match bit-for-bit (pinned by tests);
 * a flattened offset ``np.bincount`` performs the identical in-order
-  per-bin float accumulation as N separate bincounts;
-* framing via ``sliding_window_view`` + advanced indexing selects the
-  same windows as hop-slicing, and a row-subset FFT equals the same
-  rows of the full FFT.
+  per-bin float accumulation as N separate bincounts.
+
+The receiver side's Eq. 1 envelope has its own kernel,
+:func:`repro.dsp.stft.band_energy`, shared with the batch, stream and
+fleet receivers.
 
 Row independence also makes every kernel chunk-invariant, so stacks are
 processed in ~:data:`CHUNK_BYTES` blocks to bound peak memory without
@@ -34,11 +35,8 @@ import time
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sps
 
-from ..dsp.stft import Spectrogram, frame_count, frame_times
-from ..dsp.windows import get_window
 from ..obs.metrics import tap_batch_kernel
 from ..obs.trace import span
 
@@ -179,125 +177,3 @@ def batched_decimate(
         "decimate", stack.shape[0], stack.nbytes, time.perf_counter() - started
     )
     return out
-
-
-# ---------------------------------------------------------------------------
-# Union-of-positions STFT: many (hop, bins) requests over one capture
-
-
-class EnvelopeRequest:
-    """One Eq. 1 envelope wanted from a shared capture.
-
-    ``fft_size`` and ``window`` are fixed per batch (they set the frame
-    contents); ``hop`` and ``bins`` vary per request.
-    """
-
-    __slots__ = ("hop", "bins", "n_frames")
-
-    def __init__(self, hop: int, bins: np.ndarray, n_frames: int):
-        self.hop = hop
-        self.bins = bins
-        self.n_frames = n_frames
-
-
-def batched_band_energy(
-    samples: np.ndarray,
-    fft_size: int,
-    window: str,
-    requests: Sequence[EnvelopeRequest],
-) -> List[np.ndarray]:
-    """Serve N band-energy envelopes from one capture with one FFT sweep.
-
-    Requests with different hops sample overlapping frame-start grids
-    (hop 16 contains hop 32 contains hop 64 ...); the kernel FFTs the
-    *union* of all requested frame positions exactly once and gathers
-    each request's rows back out.  Windowing and FFT are the very calls
-    the scalar :func:`repro.core.acquisition.acquire` makes; instead of
-    fftshifting and taking ``abs`` of every spectrum, each request's
-    (few) bins are index-mapped back to unshifted FFT coordinates and
-    only those columns are touched - ``abs`` commutes with indexing and
-    the column order (hence the pairwise sum) is preserved, so each
-    envelope is bit-identical to its solo run.
-    """
-    started = time.perf_counter()
-    positions = [
-        np.arange(r.n_frames, dtype=np.int64) * r.hop for r in requests
-    ]
-    union = (
-        np.unique(np.concatenate(positions))
-        if positions
-        else np.empty(0, dtype=np.int64)
-    )
-    outs = [np.zeros(r.n_frames) for r in requests]
-    if union.size == 0:
-        return outs
-    win = get_window(window, fft_size)
-    frames = sliding_window_view(samples, fft_size)
-    gathers = [np.searchsorted(union, pos) for pos in positions]
-    # The scalar path fftshifts before indexing bins; mapping the bins
-    # into unshifted coordinates instead lets each block skip the
-    # full-spectrum shift copy and |.| pass.
-    mapped = [
-        (np.asarray(r.bins, dtype=np.int64) - fft_size // 2) % fft_size
-        for r in requests
-    ]
-    row_bytes = fft_size * 16 * 2  # complex frame + spectrum
-    bytes_moved = union.size * fft_size * 16
-    with _kernel_span("stft", len(requests), bytes_moved):
-        for lo, hi in _row_chunks(union.size, row_bytes):
-            spectra = np.fft.fft(frames[union[lo:hi]] * win, axis=1)
-            for req, gather, cols, out in zip(
-                requests, gathers, mapped, outs
-            ):
-                inside = (gather >= lo) & (gather < hi)
-                if not inside.any():
-                    continue
-                rows = spectra[gather[inside] - lo]
-                out[inside] = np.abs(rows[:, cols]).sum(axis=1)
-    tap_batch_kernel(
-        "stft", len(requests), bytes_moved, time.perf_counter() - started
-    )
-    return outs
-
-
-def spectrogram_axes(
-    fft_size: int, sample_rate: float
-) -> np.ndarray:
-    """The fftshifted complex-input frequency axis of the scalar STFT."""
-    return np.fft.fftshift(np.fft.fftfreq(fft_size, d=1.0 / sample_rate))
-
-
-def empty_spectrogram(
-    fft_size: int, hop: int, sample_rate: float
-) -> Spectrogram:
-    """A magnitudes-free spectrogram carrying only the axes.
-
-    :func:`repro.core.acquisition.harmonic_bins` needs ``frequencies``
-    and ``nearest_bin`` but never touches the magnitudes; this lets the
-    batch path resolve each request's bin set without materialising any
-    spectra.
-    """
-    return Spectrogram(
-        magnitudes=np.empty((0, fft_size)),
-        times=np.empty(0),
-        frequencies=spectrogram_axes(fft_size, sample_rate),
-        hop=hop,
-        fft_size=fft_size,
-        sample_rate=sample_rate,
-    )
-
-
-def check_frames(n_samples: int, fft_size: int, hop: int) -> int:
-    """Frame count with the scalar :func:`repro.dsp.stft.stft` error."""
-    n_frames = frame_count(n_samples, fft_size, hop)
-    if n_frames == 0:
-        raise ValueError(
-            f"need at least fft_size={fft_size} samples, got {n_samples}"
-        )
-    return n_frames
-
-
-def envelope_times(
-    n_frames: int, fft_size: int, hop: int, sample_rate: float
-) -> np.ndarray:
-    return frame_times(0, n_frames, fft_size, hop, sample_rate)

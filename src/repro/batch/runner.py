@@ -5,9 +5,9 @@ It runs trial-major: the digital half is prepared once per distinct
 digital prefix, every distinct chain node is computed exactly once
 through the grouped kernels
 (:func:`repro.batch.chain.render_captures_batched`), and the receiver
-tails share one union-of-positions STFT per capture
-(:func:`repro.batch.kernels.batched_band_energy`) instead of N
-overlapping sliding FFTs.
+tails share one union-of-positions envelope kernel call per capture
+(:func:`repro.dsp.stft.band_energy`) instead of N overlapping sliding
+FFTs.
 
 The output records are bit-identical to a naive per-trial
 ``link.run`` - same schema, same decoded-bits digests, same RNG exit
@@ -26,19 +26,14 @@ from ..core.acquisition import Envelope, harmonic_bins
 from ..core.align import align_bits
 from ..core.decoder import BatchDecoder
 from ..dsp.detection import histogram_modes
+from ..dsp.stft import band_energy, frame_stack, frame_times
+from ..dsp.windows import get_window
 from ..obs.metrics import tap_batch_run
 from ..obs.trace import key_prefix, rng_digest, span
 from ..sweep.plan import TrialPlan
 from ..sweep.spec import build_link, trial_payload
 from ..sweep.store import STORE_SCHEMA
 from .chain import ChainRequest, ResolvedCapture, render_captures_batched
-from .kernels import (
-    EnvelopeRequest,
-    batched_band_energy,
-    check_frames,
-    empty_spectrogram,
-    envelope_times,
-)
 
 
 def _bits_digest(bits: np.ndarray) -> str:
@@ -107,7 +102,14 @@ def _batched_envelopes(
     resolved: Sequence[ResolvedCapture],
 ) -> Dict[str, Envelope]:
     """Acquire every trial's Eq. 1 envelope, grouping trials that share
-    (capture, fft_size, window) through the union-STFT kernel."""
+    (capture, fft_size, window) into one envelope-kernel call.
+
+    Requests with different hops sample overlapping frame-start grids
+    (hop 16 contains hop 32 contains hop 64 ...); the kernel transforms
+    the *union* of the group's frame positions once and each trial
+    reads its own rows and bins back out, bit-identical to its solo
+    :func:`repro.core.acquisition.acquire`.
+    """
     groups: Dict[tuple, list] = {}
     for tp, res in zip(pending, resolved):
         link = links[tp.trial_id]
@@ -115,45 +117,44 @@ def _batched_envelopes(
         acquisition = link.decoder_config.acquisition_for(
             prepared[tp.digital_id]["nominal"], capture.sample_rate
         )
-        n_frames = check_frames(
-            capture.samples.size, acquisition.fft_size, acquisition.hop
+        _, n_frames = frame_stack(
+            capture.samples, acquisition.fft_size, acquisition.hop
         )
-        axes = empty_spectrogram(
-            acquisition.fft_size, acquisition.hop, capture.sample_rate
-        )
-        bins = harmonic_bins(
-            axes, capture, link.vrm_frequency_hz, acquisition
-        )
+        bins = harmonic_bins(capture, link.vrm_frequency_hz, acquisition)
         group_key = (
             res.key or id(capture),
             acquisition.fft_size,
             acquisition.window,
         )
         groups.setdefault(group_key, []).append(
-            (tp, capture, acquisition, bins, n_frames)
+            (tp, capture, acquisition.hop, bins, n_frames)
         )
     envelopes: Dict[str, Envelope] = {}
     for (_, fft_size, window), members in groups.items():
         capture = members[0][1]
+        positions = [
+            np.arange(n_frames) * hop for _, _, hop, _, n_frames in members
+        ]
+        union = np.unique(np.concatenate(positions))
         with span(
             "batch.decode",
             {"requests": len(members), "fft_size": fft_size},
         ):
-            ys = batched_band_energy(
-                capture.samples,
-                fft_size,
-                window,
+            ys = band_energy(
+                [frame_stack(capture.samples, fft_size, 1)[0]],
+                get_window(window, fft_size),
                 [
-                    EnvelopeRequest(acq.hop, bins, n_frames)
-                    for _, _, acq, bins, n_frames in members
+                    (np.searchsorted(union, pos), bins)
+                    for pos, (_, _, _, bins, _) in zip(positions, members)
                 ],
+                take=union,
             )
-        for y, (tp, _, acq, _, n_frames) in zip(ys, members):
+        for y, (tp, _, hop, _, n_frames) in zip(ys, members):
             envelopes[tp.trial_id] = Envelope(
                 samples=y,
-                frame_rate=capture.sample_rate / acq.hop,
-                times=envelope_times(
-                    n_frames, fft_size, acq.hop, capture.sample_rate
+                frame_rate=capture.sample_rate / hop,
+                times=frame_times(
+                    0, n_frames, fft_size, hop, capture.sample_rate
                 ),
             )
     return envelopes

@@ -913,6 +913,23 @@ def _cmd_mux(args) -> int:
     from .obs.metrics import metrics_scope
     from .obs.trace import tracing_scope
 
+    for flag, value, floor in (
+        ("--chunk-size", args.chunk_size, 1),
+        ("--tick-chunks", args.tick_chunks, 1),
+        ("--capacity", args.capacity, 1),
+        ("--jitter", args.jitter, 0),
+        ("--duration", args.duration, None),  # None: strictly positive
+        ("--service-rate-factor", args.service_rate_factor, None),
+    ):
+        # Written so that NaN fails too.
+        if value is not None and not (
+            value > 0 if floor is None else value >= floor
+        ):
+            need = "positive" if floor is None else f">= {floor}"
+            print(f"error: {flag} must be {need}, got {value}",
+                  file=sys.stderr)
+            return 2
+
     entries = args.fleet if args.fleet else ["stream-covert=32"]
     fleet = []
     for entry in entries:
@@ -958,6 +975,18 @@ def _cmd_mux(args) -> int:
         mux.run()
         elapsed = time.perf_counter() - t0
         mux.check_conservation()
+
+    empty = [
+        sid for sid in mux.stream_ids if mux.state(sid).mux.sstft.n_frames == 0
+    ]
+    if empty:
+        print(
+            f"error: {len(empty)} stream(s) produced no envelope frames "
+            f"(first: {empty[0]}); the replayed capture is shorter than "
+            "one analysis window - raise --duration",
+            file=sys.stderr,
+        )
+        return 2
 
     totals = mux.totals()
     print(

@@ -19,7 +19,8 @@ from typing import Tuple
 
 import numpy as np
 
-from ..dsp.stft import Spectrogram, stft
+from ..dsp.stft import band_energy, bin_frequencies, frame_stack, frame_times
+from ..dsp.windows import get_window
 from ..types import IQCapture
 
 
@@ -84,25 +85,29 @@ class AcquisitionConfig:
 
 
 def harmonic_bins(
-    spectrogram: Spectrogram,
     capture: IQCapture,
     vrm_frequency_hz: float,
     config: AcquisitionConfig,
 ) -> np.ndarray:
     """Bin indices of the considered frequency components S.
 
-    Harmonics that fall outside the capture bandwidth are skipped; at
-    least one must remain.
+    Indices are positions on the :func:`repro.dsp.stft.bin_frequencies`
+    axis of a ``config.fft_size`` STFT of the capture.  Harmonics that
+    fall outside the capture bandwidth are skipped; at least one must
+    remain.
     """
+    frequencies = bin_frequencies(
+        config.fft_size, capture.sample_rate, np.iscomplexobj(capture.samples)
+    )
     nyquist = capture.sample_rate / 2
     bins = []
     for h in config.harmonics:
         offset = capture.baseband_offset(h * vrm_frequency_hz)
         if abs(offset) >= nyquist:
             continue
-        center = spectrogram.nearest_bin(offset)
+        center = int(np.argmin(np.abs(frequencies - offset)))
         lo = max(center - config.bin_halfwidth, 0)
-        hi = min(center + config.bin_halfwidth, spectrogram.frequencies.size - 1)
+        hi = min(center + config.bin_halfwidth, frequencies.size - 1)
         bins.extend(range(lo, hi + 1))
     if not bins:
         raise ValueError(
@@ -119,13 +124,17 @@ def acquire(
     """Compute the Eq. 1 envelope from an IQ capture."""
     if vrm_frequency_hz <= 0:
         raise ValueError("VRM frequency must be positive")
-    spec = stft(
-        capture.samples,
-        capture.sample_rate,
-        fft_size=config.fft_size,
-        hop=config.hop,
-        window=config.window,
+    frames, n_frames = frame_stack(capture.samples, config.fft_size, config.hop)
+    bins = harmonic_bins(capture, vrm_frequency_hz, config)
+    (y,) = band_energy(
+        [frames],
+        get_window(config.window, config.fft_size),
+        [(np.arange(n_frames), bins)],
     )
-    bins = harmonic_bins(spec, capture, vrm_frequency_hz, config)
-    y = spec.band_energy(bins)
-    return Envelope(samples=y, frame_rate=spec.frame_rate, times=spec.times)
+    return Envelope(
+        samples=y,
+        frame_rate=capture.sample_rate / config.hop,
+        times=frame_times(
+            0, n_frames, config.fft_size, config.hop, capture.sample_rate
+        ),
+    )

@@ -21,7 +21,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..dsp.detection import bimodal_threshold
-from ..dsp.stft import stft
+from ..dsp.stft import band_energy, bin_frequencies, frame_stack, frame_times
+from ..dsp.windows import get_window
 from ..types import IQCapture, Keystroke
 
 
@@ -99,36 +100,42 @@ class KeystrokeDetector:
         samples = capture.samples / max(
             float(np.sqrt(np.mean(np.abs(capture.samples) ** 2))), 1e-12
         )
-        spec = stft(
-            samples,
-            capture.sample_rate,
-            fft_size=window,
-            hop=window,  # non-overlapping windows
-            window="rect",
+        # Non-overlapping windows: hop = window.
+        frames, n_frames = frame_stack(samples, window, window)
+        (energy,) = band_energy(
+            [frames],
+            get_window("rect", window),
+            [(np.arange(n_frames), self._pmu_bins(capture, window))],
         )
-        bins = self._pmu_bins(spec, capture)
-        energy = spec.band_energy(bins)
+        times = frame_times(0, n_frames, window, window, capture.sample_rate)
         threshold = bimodal_threshold(energy)
         active = energy > threshold
-        events = self._group_events(active, spec.times, cfg)
+        events = self._group_events(active, times, cfg)
         return KeylogDetection(
             events=events,
             band_energy=energy,
-            window_times=spec.times,
+            window_times=times,
             threshold=threshold,
         )
 
-    def _pmu_bins(self, spec, capture: IQCapture) -> np.ndarray:
-        """Bins of the PMU's fundamental and first harmonic."""
+    def _pmu_bins(self, capture: IQCapture, fft_size: int) -> np.ndarray:
+        """Bins of the PMU's fundamental and first harmonic in a
+        ``fft_size`` STFT of the capture."""
+        frequencies = bin_frequencies(
+            fft_size, capture.sample_rate, np.iscomplexobj(capture.samples)
+        )
         bins: List[int] = []
         halfwidth_hz = self.config.band_halfwidth_hz_rel * self.vrm_frequency_hz
         for harmonic in (1, 2):
             offset = capture.baseband_offset(harmonic * self.vrm_frequency_hz)
             if abs(offset) >= capture.sample_rate / 2:
                 continue
-            band = spec.band_indices(offset - halfwidth_hz, offset + halfwidth_hz)
+            band = np.nonzero(
+                (frequencies >= offset - halfwidth_hz)
+                & (frequencies <= offset + halfwidth_hz)
+            )[0]
             if band.size == 0:
-                band = np.array([spec.nearest_bin(offset)])
+                band = np.array([np.argmin(np.abs(frequencies - offset))])
             bins.extend(band.tolist())
         if not bins:
             raise ValueError("PMU band outside the capture bandwidth")

@@ -286,6 +286,8 @@ def build_multiplexer(
 
 def truncate_spec(spec: StreamSpec, duration_s: float) -> StreamSpec:
     """The same target, replaying only the capture's first seconds."""
+    if not duration_s > 0:
+        raise ValueError(f"duration_s must be positive, got {duration_s}")
     capture = spec.capture
     n = min(int(duration_s * capture.sample_rate), capture.samples.size)
     if n >= capture.samples.size:

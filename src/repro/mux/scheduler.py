@@ -168,6 +168,10 @@ class StreamMultiplexer:
         """
         if stream_id in self._streams:
             raise ValueError(f"stream {stream_id!r} already registered")
+        # ``not > 0`` also catches NaN: a budget that never grows would
+        # leave the queue undrained and the fleet ticking forever.
+        if service_rate_sps is not None and not service_rate_sps > 0:
+            raise ValueError("service_rate_sps must be positive (or None)")
         queue = self.pool.register(stream_id, capacity, policy)
         state = MuxStreamState(
             stream_id=stream_id,

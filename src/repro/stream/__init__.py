@@ -12,9 +12,9 @@ same capture, for any chunking (see DESIGN.md section 11).
 """
 
 from .demod import (
-    StreamingBandEnergy,
     StreamingConvolver,
     StreamingSTFT,
+    advance_envelopes,
     streaming_envelope,
 )
 from .receiver import (
@@ -46,11 +46,11 @@ __all__ = [
     "StreamRunResult",
     "StreamRunner",
     "StreamStats",
-    "StreamingBandEnergy",
     "StreamingConvolver",
     "StreamingKeystrokeDetector",
     "StreamingReceiver",
     "StreamingSTFT",
+    "advance_envelopes",
     "chain_chunk_source",
     "streaming_envelope",
 ]

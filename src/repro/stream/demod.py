@@ -1,21 +1,22 @@
 """Stateful, chunk-incremental DSP: the streaming half of the receiver.
 
-The batch receiver computes one STFT over the whole capture
-(:func:`repro.dsp.stft.stft`) and one envelope from it (paper Eq. 1).
-Here the same quantities are produced chunk by chunk with explicit
-carry-over state:
+The batch receiver computes the Eq. 1 envelope of a whole capture with
+one :func:`repro.dsp.stft.band_energy` call.  Here the same quantities
+are produced chunk by chunk with explicit carry-over state:
 
 * :class:`StreamingSTFT` buffers the window tail between chunks and
-  emits exactly the frames the batch call would, in the same global
+  stages exactly the frames the batch call would, in the same global
   positions (the framing contract lives in
-  :func:`repro.dsp.stft.frame_count`).  Feeding the same samples in any
-  chunking - including one sample at a time - yields bit-identical
-  magnitudes, because each frame is the same float vector through the
-  same FFT.
-* :class:`StreamingBandEnergy` reduces those frames to the Eq. 1
-  envelope ``Y[n]`` over a fixed bin set, reusing the batch bin
-  selection (:func:`repro.core.acquisition.harmonic_bins`) via a
-  metadata stub so streaming and batch can never disagree about S.
+  :func:`repro.dsp.stft.frame_stack`).
+* :func:`advance_envelopes` runs stage -> ``band_energy`` -> complete
+  over a group of same-shaped STFTs.  A lone receiver's push is the
+  group of one; the fleet multiplexer runs the same call over a whole
+  config group per tick.  Feeding the same samples in any chunking -
+  including one sample at a time - yields bit-identical envelopes,
+  because each frame is the same float vector through the same kernel.
+* :func:`streaming_envelope` picks S through the batch
+  :func:`repro.core.acquisition.harmonic_bins`, so streaming and batch
+  can never disagree about the bins.
 * :class:`StreamingConvolver` carries FIR state across chunk
   boundaries, matching ``np.convolve(x, k, mode="same")`` over the
   concatenated stream; the receiver uses it with the edge kernel from
@@ -24,22 +25,22 @@ carry-over state:
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from ..dsp.stft import Spectrogram, frame_count, frame_times
+from ..dsp.stft import band_energy, frame_stack, frame_times
 from ..dsp.windows import get_window
 from .source import StreamMeta
 
 
 class StreamingSTFT:
-    """Chunk-incremental STFT, frame-identical to the batch :func:`stft`.
+    """Chunk-incremental STFT framing, frame-identical to the batch path.
 
-    Parameters mirror the batch call; ``complex_input`` fixes the
-    frequency axis up front (the batch path infers it from the array
-    dtype, which a stream cannot do before the first chunk).
+    Parameters mirror :func:`repro.dsp.stft.stft`; ``complex_input``
+    fixes the buffer dtype, hence FFT vs rfft, up front (the batch path
+    infers it from the array dtype, which a stream cannot do before the
+    first chunk).
     """
 
     def __init__(
@@ -60,12 +61,6 @@ class StreamingSTFT:
         self.window = window
         self.complex_input = bool(complex_input)
         self._win = get_window(window, fft_size)
-        if complex_input:
-            self.frequencies = np.fft.fftshift(
-                np.fft.fftfreq(fft_size, d=1.0 / sample_rate)
-            )
-        else:
-            self.frequencies = np.fft.rfftfreq(fft_size, d=1.0 / sample_rate)
         dtype = np.complex128 if complex_input else np.float64
         # Preallocated growable window buffer: valid samples live at
         # ``_storage[_off : _off + _len]``.  Appends write in place,
@@ -132,21 +127,6 @@ class StreamingSTFT:
         )
         self._len = need
 
-    def spectrogram_stub(self) -> Spectrogram:
-        """A frame-less spectrogram carrying the axes.
-
-        Lets streaming code reuse batch bin-selection helpers
-        (``nearest_bin`` / ``band_indices``) before any frame exists.
-        """
-        return Spectrogram(
-            magnitudes=np.empty((0, self.frequencies.size)),
-            times=np.empty(0),
-            frequencies=self.frequencies,
-            hop=self.hop,
-            fft_size=self.fft_size,
-            sample_rate=self.sample_rate,
-        )
-
     @property
     def window_values(self) -> np.ndarray:
         """The window coefficients applied to each frame."""
@@ -158,35 +138,25 @@ class StreamingSTFT:
         Returns ``(frames, first_frame_index)`` where ``frames`` is a
         strided view of shape ``(n_new, fft_size)`` over the internal
         buffer - no window applied, no FFT taken.  The view is valid
-        until the next :meth:`stage`/:meth:`push` on this instance
-        (:meth:`complete` only advances offsets, it never moves data).
+        until the next :meth:`stage` on this instance (:meth:`complete`
+        only advances offsets, it never moves data).
 
-        The split exists for the fleet multiplexer: many streams with
-        the same STFT configuration stage their frames, the caller
-        stacks the views row-wise and runs **one** windowed FFT over
-        the stack, then calls :meth:`complete` per stream.  NumPy's
-        pocketfft transforms each row of a 2D FFT independently, so the
-        stacked call is bit-for-bit the per-stream :meth:`push`.
+        :func:`advance_envelopes` stages every STFT of a group, runs one
+        :func:`repro.dsp.stft.band_energy` call over the staged views,
+        then calls :meth:`complete` per STFT.
         """
         samples = np.asarray(samples)
         if samples.size:
             self._append(samples)
             self._received += samples.size
-        # The next frame starts at the global sample index hop * emitted;
-        # count how many complete frames the buffer now covers past it.
-        next_start = self._emitted * self.hop
-        available = self._received - next_start
-        n_new = frame_count(available, self.fft_size, self.hop) if available > 0 else 0
-        if n_new == 0:
-            return (
-                np.empty((0, self.fft_size), dtype=self._storage.dtype),
-                self._emitted,
-            )
-        local = self._off + (next_start - self._buf_start)
-        frames = sliding_window_view(
-            self._storage[local : self._off + self._len], self.fft_size
-        )[:: self.hop][:n_new]
-        return frames, self._emitted
+        # The next frame starts at the global sample index hop * emitted
+        # (past the buffered data when a hop jumps beyond it); frame
+        # whatever the buffer holds from there on.
+        local = self._off + self._emitted * self.hop - self._buf_start
+        pending = self._storage[local : self._off + self._len]
+        if pending.size < self.fft_size:
+            return np.empty((0, self.fft_size), pending.dtype), self._emitted
+        return frame_stack(pending, self.fft_size, self.hop)[0], self._emitted
 
     def complete(self, n_new: int) -> None:
         """Mark ``n_new`` staged frames emitted and release their samples."""
@@ -201,29 +171,6 @@ class StreamingSTFT:
             self._len -= delta
             self._buf_start = keep_from
 
-    def push(self, samples: np.ndarray) -> Tuple[np.ndarray, int]:
-        """Feed one chunk; returns ``(new_magnitudes, first_frame_index)``.
-
-        ``new_magnitudes`` has shape ``(n_new, n_bins)`` (possibly zero
-        rows when the chunk does not complete a frame);
-        ``first_frame_index`` is the global index of its first row.
-        """
-        frames, first = self.stage(samples)
-        n_new = frames.shape[0]
-        if n_new == 0:
-            return np.empty((0, self.frequencies.size)), first
-        # Identical arithmetic to the batch stft(): window, FFT, shift,
-        # magnitude - on identical float rows, so the outputs match bit
-        # for bit regardless of how the stream was chunked.
-        if self.complex_input:
-            spectra = np.fft.fft(frames * self._win, axis=1)
-            spectra = np.fft.fftshift(spectra, axes=1)
-        else:
-            spectra = np.fft.rfft(frames * self._win, axis=1)
-        mags = np.abs(spectra)
-        self.complete(n_new)
-        return mags, first
-
     def times(self, first_frame: int, n_frames: int) -> np.ndarray:
         """Centre times for a run of frames (same floats as the batch)."""
         return frame_times(
@@ -231,41 +178,38 @@ class StreamingSTFT:
         )
 
 
-class StreamingBandEnergy:
-    """Eq. 1 envelope ``Y[n]`` over a fixed bin set, chunk by chunk."""
+def advance_envelopes(
+    jobs: Sequence[Tuple[StreamingSTFT, np.ndarray, np.ndarray]],
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Feed one chunk to each STFT of a group; returns each one's new
+    Eq. 1 frames ``(y, times)``.
 
-    def __init__(self, sstft: StreamingSTFT, bins: np.ndarray):
-        bins = np.asarray(bins, dtype=int)
-        if bins.size == 0:
-            raise ValueError("need at least one bin in S")
-        self.sstft = sstft
-        self.bins = bins
-
-    @property
-    def frame_rate(self) -> float:
-        return self.sstft.frame_rate
-
-    @property
-    def n_frames(self) -> int:
-        return self.sstft.n_frames
-
-    def reserve(self, n_samples: int) -> None:
-        """Pre-size the underlying STFT buffer (see :meth:`StreamingSTFT.reserve`)."""
-        self.sstft.reserve(n_samples)
-
-    def push(self, samples: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Feed one chunk; returns ``(y_new, times_new)``."""
-        mags, first = self.sstft.push(samples)
-        if mags.shape[0] == 0:
-            return np.empty(0), np.empty(0)
-        y = mags[:, self.bins].sum(axis=1)
-        return y, self.sstft.times(first, y.size)
+    Each job is ``(sstft, bins, samples)``; every STFT in the group must
+    share fft size, window and input type (the multiplexer's group key).
+    All staged frames go through one :func:`repro.dsp.stft.band_energy`
+    call, in greedy blocks that may span job boundaries - rows are
+    independent, so the layout never changes a bit.
+    """
+    staged = [sstft.stage(samples) for sstft, _, samples in jobs]
+    ends = np.cumsum([frames.shape[0] for frames, _ in staged])
+    readers = [
+        (np.arange(end - frames.shape[0], end), bins)
+        for (_, bins, _), (frames, _), end in zip(jobs, staged, ends)
+    ]
+    ys = band_energy(
+        [frames for frames, _ in staged], jobs[0][0].window_values, readers
+    )
+    out = []
+    for (sstft, _, _), (_, first), y in zip(jobs, staged, ys):
+        sstft.complete(y.size)
+        out.append((y, sstft.times(first, y.size)))
+    return out
 
 
 def streaming_envelope(
     meta: StreamMeta, vrm_frequency_hz: float, config
-) -> StreamingBandEnergy:
-    """Build the covert receiver's incremental Eq. 1 envelope.
+) -> Tuple[StreamingSTFT, np.ndarray]:
+    """The covert receiver's incremental STFT and its Eq. 1 bin set S.
 
     ``config`` is a :class:`repro.core.acquisition.AcquisitionConfig`;
     bin selection goes through the *batch* :func:`harmonic_bins` so the
@@ -282,13 +226,8 @@ def streaming_envelope(
         window=config.window,
         complex_input=True,
     )
-    bins = harmonic_bins(
-        sstft.spectrogram_stub(),
-        meta.as_capture_stub(),
-        vrm_frequency_hz,
-        config,
-    )
-    return StreamingBandEnergy(sstft, bins)
+    bins = harmonic_bins(meta.as_capture_stub(), vrm_frequency_hz, config)
+    return sstft, bins
 
 
 class StreamingConvolver:

@@ -48,9 +48,9 @@ from ..keylog.detector import (
     group_events,
 )
 from .demod import (
-    StreamingBandEnergy,
     StreamingConvolver,
     StreamingSTFT,
+    advance_envelopes,
     streaming_envelope,
 )
 from .source import StreamMeta
@@ -169,7 +169,9 @@ class StreamingReceiver:
         acquisition = config.acquisition_for(
             expected_bit_period_s, meta.sample_rate
         )
-        self._band: StreamingBandEnergy = streaming_envelope(
+        #: Incremental STFT and Eq. 1 bin set (the mux hooks, see
+        #: :func:`repro.stream.demod.advance_envelopes`).
+        self.sstft, self.bins = streaming_envelope(
             meta, vrm_frequency_hz, acquisition
         )
         self._y = np.empty(0)
@@ -178,7 +180,7 @@ class StreamingReceiver:
         self._expected_frames: Optional[float] = None
         if expected_bit_period_s is not None:
             self._expected_frames = (
-                expected_bit_period_s * self._band.frame_rate
+                expected_bit_period_s * self.sstft.frame_rate
             )
         self._conv: Optional[StreamingConvolver] = None
         self._conv_fed = 0  # envelope frames fed into the convolver
@@ -218,27 +220,17 @@ class StreamingReceiver:
 
     @property
     def n_samples(self) -> int:
-        return self._band.sstft.n_samples
+        return self.sstft.n_samples
 
     def reserve(self, n_samples: int) -> None:
         """Pre-size the STFT chunk buffer for reallocation-free pushes."""
-        self._band.reserve(n_samples)
-
-    @property
-    def band(self) -> StreamingBandEnergy:
-        """The incremental Eq. 1 envelope this receiver consumes.
-
-        Exposed so the fleet multiplexer can stage the underlying STFT
-        into a cross-stream batched kernel and hand the resulting
-        envelope increments back through :meth:`push_envelope`.
-        """
-        return self._band
+        self.sstft.reserve(n_samples)
 
     def envelope(self) -> Envelope:
         """The accumulated Eq. 1 envelope (batch-identical, drop-free)."""
         return Envelope(
             samples=self._y,
-            frame_rate=self._band.frame_rate,
+            frame_rate=self.sstft.frame_rate,
             times=self._times,
         )
 
@@ -246,7 +238,7 @@ class StreamingReceiver:
 
     def push_samples(self, samples: np.ndarray, now_s: float) -> List[BitEvent]:
         """Feed one chunk of IQ samples; returns newly emitted events."""
-        y_new, t_new = self._band.push(samples)
+        ((y_new, t_new),) = advance_envelopes([(self.sstft, self.bins, samples)])
         return self.push_envelope(y_new, t_new, now_s)
 
     def push_envelope(
@@ -254,10 +246,11 @@ class StreamingReceiver:
     ) -> List[BitEvent]:
         """Feed precomputed Eq. 1 envelope frames (mux batched-DSP path).
 
-        ``y_new``/``t_new`` must be exactly what :attr:`band` would have
-        produced for the corresponding samples - the multiplexer
-        guarantees this by staging this stream's frames into the group
-        kernel and completing the same frame count.
+        ``y_new``/``t_new`` must be exactly what :meth:`push_samples`
+        would have produced for the corresponding samples - the
+        multiplexer guarantees this by running this stream's
+        :attr:`sstft` through the same :func:`advance_envelopes` call
+        as the rest of its group.
         """
         if y_new.size == 0:
             return []
@@ -469,7 +462,8 @@ class StreamingKeystrokeDetector:
         #: defers all detection to :meth:`finalize` (identical result).
         self.online = bool(online)
         window = max(int(config.window_s * meta.sample_rate), 8)
-        sstft = StreamingSTFT(
+        #: Same mux hooks as :attr:`StreamingReceiver.sstft`.
+        self.sstft = StreamingSTFT(
             meta.sample_rate,
             fft_size=window,
             hop=window,  # non-overlapping, as in the batch detector
@@ -477,10 +471,7 @@ class StreamingKeystrokeDetector:
             complex_input=True,
         )
         reference = KeystrokeDetector(vrm_frequency_hz, config)
-        bins = reference._pmu_bins(
-            sstft.spectrogram_stub(), meta.as_capture_stub()
-        )
-        self._band = StreamingBandEnergy(sstft, bins)
+        self.bins = reference._pmu_bins(meta.as_capture_stub(), window)
         self._window_s = window / meta.sample_rate
         self._energy = np.empty(0)
         self._times = np.empty(0)
@@ -497,12 +488,7 @@ class StreamingKeystrokeDetector:
 
     def reserve(self, n_samples: int) -> None:
         """Pre-size the STFT chunk buffer for reallocation-free pushes."""
-        self._band.reserve(n_samples)
-
-    @property
-    def band(self) -> StreamingBandEnergy:
-        """The incremental band energy this detector consumes (mux hook)."""
-        return self._band
+        self.sstft.reserve(n_samples)
 
     def account_samples(self, samples: np.ndarray) -> None:
         """Fold a chunk into the RMS accumulator without demodulating.
@@ -522,7 +508,9 @@ class StreamingKeystrokeDetector:
     ) -> List[KeystrokeEvent]:
         samples = np.asarray(samples)
         self.account_samples(samples)
-        energy, times = self._band.push(samples)
+        ((energy, times),) = advance_envelopes(
+            [(self.sstft, self.bins, samples)]
+        )
         return self.push_envelope(energy, times, now_s)
 
     def push_envelope(

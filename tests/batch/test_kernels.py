@@ -13,17 +13,11 @@ from scipy import signal as sps
 
 import repro.batch.kernels as kernels_mod
 from repro.batch.kernels import (
-    EnvelopeRequest,
-    batched_band_energy,
     batched_bincount,
     batched_convolve_full,
     batched_decimate,
     batched_mix,
-    check_frames,
-    empty_spectrogram,
-    envelope_times,
 )
-from repro.dsp.stft import stft
 from repro.sdr.frontend import decimate, mix_to_baseband
 
 
@@ -114,72 +108,3 @@ class TestBatchedDecimate:
         monkeypatch.setattr(kernels_mod, "CHUNK_BYTES", 1)
         chunked = batched_decimate(stack, 3)
         assert np.array_equal(whole, chunked)
-
-
-class TestBatchedBandEnergy:
-    def _samples(self, rng, n=6000):
-        return (
-            rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        ).astype(np.complex64)
-
-    def test_union_stft_matches_scalar_per_hop(self, rng):
-        samples = self._samples(rng)
-        fft_size = 128
-        bins = np.array([3, 4, 5, 60, 61])
-        hops = (16, 24, 32, 64)
-        requests = [
-            EnvelopeRequest(h, bins, check_frames(samples.size, fft_size, h))
-            for h in hops
-        ]
-        outs = batched_band_energy(samples, fft_size, "hann", requests)
-        for hop, y in zip(hops, outs):
-            spec = stft(samples, 1e6, fft_size=fft_size, hop=hop, window="hann")
-            assert np.array_equal(y, spec.band_energy(bins))
-
-    def test_heterogeneous_bins_per_request(self, rng):
-        samples = self._samples(rng)
-        reqs = [
-            EnvelopeRequest(32, np.array([1, 2]), check_frames(samples.size, 64, 32)),
-            EnvelopeRequest(48, np.array([10, 11, 12]), check_frames(samples.size, 64, 48)),
-        ]
-        outs = batched_band_energy(samples, 64, "hann", reqs)
-        for req, y in zip(reqs, outs):
-            spec = stft(samples, 1e6, fft_size=64, hop=req.hop, window="hann")
-            assert np.array_equal(y, spec.band_energy(req.bins))
-
-    def test_block_chunking_is_invisible(self, rng, monkeypatch):
-        samples = self._samples(rng, n=3000)
-        reqs = [
-            EnvelopeRequest(32, np.array([5, 6]), check_frames(3000, 64, 32))
-        ]
-        whole = batched_band_energy(samples, 64, "hann", reqs)
-        monkeypatch.setattr(kernels_mod, "CHUNK_BYTES", 64 * 16 * 2 * 7)
-        chunked = batched_band_energy(samples, 64, "hann", reqs)
-        assert np.array_equal(whole[0], chunked[0])
-
-    def test_no_requests(self, rng):
-        assert batched_band_energy(self._samples(rng), 64, "hann", []) == []
-
-
-class TestFrameHelpers:
-    def test_check_frames_matches_scalar_error(self):
-        with pytest.raises(ValueError) as batch_err:
-            check_frames(10, 64, 8)
-        with pytest.raises(ValueError) as scalar_err:
-            stft(np.zeros(10, dtype=complex), 1e6, fft_size=64, hop=8)
-        assert str(batch_err.value) == str(scalar_err.value)
-
-    def test_envelope_axes_match_scalar_spectrogram(self):
-        rng = np.random.default_rng(7)
-        samples = (
-            rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
-        ).astype(np.complex64)
-        spec = stft(samples, 5e5, fft_size=128, hop=32, window="hann")
-        axes = empty_spectrogram(128, 32, 5e5)
-        assert np.array_equal(axes.frequencies, spec.frequencies)
-        assert axes.frame_rate == spec.frame_rate
-        times = envelope_times(spec.times.size, 128, 32, 5e5)
-        assert np.array_equal(times, spec.times)
-
-    def test_empty_spectrogram_carries_no_magnitudes(self):
-        assert empty_spectrogram(64, 16, 1e6).magnitudes.size == 0

@@ -35,7 +35,7 @@ class TestHarmonicBins:
         cap = ook_capture()
         config = AcquisitionConfig(fft_size=256, hop=64, bin_halfwidth=0)
         spec = stft(cap.samples, cap.sample_rate, 256, 64)
-        bins = harmonic_bins(spec, cap, 5e3, config)
+        bins = harmonic_bins(cap, 5e3, config)
         freqs = spec.frequencies[bins]
         assert np.any(np.abs(freqs - (-2.5e3)) < 400)
         assert np.any(np.abs(freqs - (+2.5e3)) < 400)
@@ -45,25 +45,22 @@ class TestHarmonicBins:
         config = AcquisitionConfig(
             fft_size=256, hop=64, harmonics=(1, 2, 30), bin_halfwidth=0
         )
-        spec = stft(cap.samples, cap.sample_rate, 256, 64)
-        bins = harmonic_bins(spec, cap, 5e3, config)
+        bins = harmonic_bins(cap, 5e3, config)
         assert bins.size >= 2  # fundamental + first harmonic survive
 
     def test_all_out_of_band_raises(self):
         cap = ook_capture()
         config = AcquisitionConfig(fft_size=256, hop=64, harmonics=(40,))
-        spec = stft(cap.samples, cap.sample_rate, 256, 64)
         with pytest.raises(ValueError, match="bandwidth"):
-            harmonic_bins(spec, cap, 5e3, config)
+            harmonic_bins(cap, 5e3, config)
 
     def test_halfwidth_widens_selection(self):
         cap = ook_capture()
-        spec = stft(cap.samples, cap.sample_rate, 256, 64)
         narrow = harmonic_bins(
-            spec, cap, 5e3, AcquisitionConfig(256, 64, bin_halfwidth=0)
+            cap, 5e3, AcquisitionConfig(256, 64, bin_halfwidth=0)
         )
         wide = harmonic_bins(
-            spec, cap, 5e3, AcquisitionConfig(256, 64, bin_halfwidth=2)
+            cap, 5e3, AcquisitionConfig(256, 64, bin_halfwidth=2)
         )
         assert wide.size > narrow.size
 

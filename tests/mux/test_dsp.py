@@ -6,13 +6,16 @@ envelope a lone receiver's ``push_samples`` would - for any stream mix,
 any tick chunking, and any FFT row-block layout.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
-import repro.mux.dsp as dsp
 from repro.mux.dsp import MuxStream, group_streams, tick_group
 
 from .conftest import make_capture, make_receiver, make_source
+
+stft_mod = importlib.import_module("repro.dsp.stft")
 
 
 def _per_stream_reference(capture, pieces, online=False, vrm_hz=5_000.0):
@@ -117,7 +120,7 @@ class TestBitIdentity:
             capture, _split(capture.samples, [1024])
         )
         monkeypatch.setattr(
-            dsp, "CHUNK_BYTES", 3 * 256 * 16
+            stft_mod, "BLOCK_BYTES", 3 * 256 * 16
         )  # 3 rows per block
         source = make_source(capture, 256)
         receiver = make_receiver(source)

@@ -74,6 +74,12 @@ class TestSpecExtraction:
         # truncating past the end is the identity
         assert truncate_spec(covert_spec, 1e9) is covert_spec
 
+    @pytest.mark.parametrize("duration", [0.0, -1.0, float("nan")])
+    def test_truncate_spec_rejects_non_positive(self, covert_spec, duration):
+        # samples[:negative] would silently replay all but the tail
+        with pytest.raises(ValueError, match="duration_s"):
+            truncate_spec(covert_spec, duration)
+
 
 class TestBuildMultiplexer:
     def test_empty_fleet_rejected(self):

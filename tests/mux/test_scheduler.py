@@ -214,3 +214,16 @@ class TestRegistration:
     def test_bad_tick_rejected(self):
         with pytest.raises(ValueError):
             StreamMultiplexer(ChunkPool(1, 16), tick_s=0.0)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan")])
+    def test_non_positive_service_rate_rejected(self, capture, rate):
+        # A budget that never grows would leave the queue undrained and
+        # ``run()`` ticking forever; registration refuses it up front.
+        mux = make_mux([capture])
+        source = make_source(capture, 256)
+        with pytest.raises(ValueError, match="service_rate_sps"):
+            mux.add_stream(
+                "s001", source, make_receiver(source), service_rate_sps=rate
+            )
+        assert mux.n_streams == 1
+        assert mux.run(max_ticks=1000) < 1000

@@ -1,9 +1,10 @@
 """Tests for the chunk-incremental DSP.
 
 The core claim of the streaming subsystem: feeding the same samples in
-*any* chunking yields bit-identical STFT frames, envelopes and
-convolutions.  Everything downstream (receiver equivalence, baselines)
-rests on these tests.
+*any* chunking yields bit-identical envelopes and convolutions.
+Everything downstream (receiver equivalence, baselines) rests on these
+tests; the kernel-level property over every receiver path lives in
+``tests/dsp/test_band_energy.py``.
 """
 
 import numpy as np
@@ -15,13 +16,16 @@ from repro.core.acquisition import AcquisitionConfig, acquire
 from repro.dsp.filters import edge_kernel
 from repro.dsp.stft import stft
 from repro.stream.demod import (
-    StreamingBandEnergy,
     StreamingConvolver,
     StreamingSTFT,
+    advance_envelopes,
     streaming_envelope,
 )
 from repro.stream.source import StreamMeta
 from repro.types import IQCapture
+
+#: Bins valid for every STFT below (real fft_size 64 has 33 bins).
+BINS = np.array([0, 5, 17, 31])
 
 
 def _signal(n, seed=0):
@@ -40,6 +44,17 @@ def _chunked(x, sizes):
     return out
 
 
+def _stream(s, pieces, bins=BINS):
+    """Push ``pieces`` through ``s`` one group-of-one step at a time;
+    returns the concatenated ``(envelope, times)``."""
+    ys, ts = [], []
+    for piece in pieces:
+        ((y, t),) = advance_envelopes([(s, bins, piece)])
+        ys.append(y)
+        ts.append(t)
+    return np.concatenate(ys), np.concatenate(ts)
+
+
 class TestStreamingSTFT:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -52,48 +67,23 @@ class TestStreamingSTFT:
         x = _signal(3000)
         batch = stft(x, 1e4, fft_size=128, hop=32)
         s = StreamingSTFT(1e4, fft_size=128, hop=32)
-        rows, times = [], []
-        for piece in _chunked(x, [chunk]):
-            mags, first = s.push(piece)
-            if mags.shape[0]:
-                rows.append(mags)
-                times.append(s.times(first, mags.shape[0]))
-        got = np.concatenate(rows)
-        np.testing.assert_array_equal(got, batch.magnitudes)
-        np.testing.assert_array_equal(np.concatenate(times), batch.times)
-        np.testing.assert_array_equal(s.frequencies, batch.frequencies)
+        y, times = _stream(s, _chunked(x, [chunk]))
+        np.testing.assert_array_equal(y, batch.band_energy(BINS))
+        np.testing.assert_array_equal(times, batch.times)
 
     def test_hop_larger_than_fft_size(self):
         x = _signal(2000, seed=3)
         batch = stft(x, 1e4, fft_size=64, hop=100)
         s = StreamingSTFT(1e4, fft_size=64, hop=100)
-        rows = [s.push(piece)[0] for piece in _chunked(x, [97])]
-        got = np.concatenate([r for r in rows if r.shape[0]])
-        np.testing.assert_array_equal(got, batch.magnitudes)
+        y, _ = _stream(s, _chunked(x, [97]))
+        np.testing.assert_array_equal(y, batch.band_energy(BINS))
 
     def test_real_input_one_sided(self):
         x = np.random.default_rng(1).normal(size=1000)
         batch = stft(x, 1e3, fft_size=64, hop=16)
         s = StreamingSTFT(1e3, fft_size=64, hop=16, complex_input=False)
-        rows = [s.push(piece)[0] for piece in _chunked(x, [33])]
-        got = np.concatenate([r for r in rows if r.shape[0]])
-        np.testing.assert_array_equal(got, batch.magnitudes)
-        np.testing.assert_array_equal(s.frequencies, batch.frequencies)
-
-    @settings(deadline=None, max_examples=25)
-    @given(
-        sizes=st.lists(st.integers(1, 400), min_size=1, max_size=8),
-        fft_size=st.sampled_from([16, 64, 128]),
-        hop=st.sampled_from([1, 7, 16, 40]),
-    )
-    def test_property_chunking_never_changes_frames(self, sizes, fft_size, hop):
-        x = _signal(1500, seed=42)
-        batch = stft(x, 1e4, fft_size=fft_size, hop=hop)
-        s = StreamingSTFT(1e4, fft_size=fft_size, hop=hop)
-        rows = [s.push(piece)[0] for piece in _chunked(x, sizes)]
-        got = np.concatenate([r for r in rows if r.shape[0]])
-        assert s.n_samples == x.size
-        np.testing.assert_array_equal(got, batch.magnitudes)
+        y, _ = _stream(s, _chunked(x, [33]))
+        np.testing.assert_array_equal(y, batch.band_energy(BINS))
 
 
 class TestStreamingEnvelope:
@@ -112,20 +102,18 @@ class TestStreamingEnvelope:
         config = AcquisitionConfig(fft_size=256, hop=32)
         batch = acquire(capture, vrm, config)
         meta = StreamMeta(sample_rate=fs, center_frequency=3.75e4)
-        band = streaming_envelope(meta, vrm, config)
-        ys, ts = [], []
-        for piece in _chunked(x, [777]):
-            y, tt = band.push(piece)
-            ys.append(y)
-            ts.append(tt)
-        np.testing.assert_array_equal(np.concatenate(ys), batch.samples)
-        np.testing.assert_array_equal(np.concatenate(ts), batch.times)
-        assert band.frame_rate == batch.frame_rate
+        sstft, bins = streaming_envelope(meta, vrm, config)
+        y, times = _stream(sstft, _chunked(x, [777]), bins)
+        np.testing.assert_array_equal(y, batch.samples)
+        np.testing.assert_array_equal(times, batch.times)
+        assert sstft.frame_rate == batch.frame_rate
 
     def test_rejects_empty_bins(self):
-        s = StreamingSTFT(1e3, fft_size=16, hop=4)
-        with pytest.raises(ValueError):
-            StreamingBandEnergy(s, np.array([], dtype=int))
+        # No harmonic inside the band: S would be empty.
+        meta = StreamMeta(sample_rate=2e5, center_frequency=3.75e4)
+        config = AcquisitionConfig(fft_size=256, hop=32)
+        with pytest.raises(ValueError, match="bandwidth"):
+            streaming_envelope(meta, 5e6, config)
 
 
 class TestStreamingConvolver:
@@ -178,30 +166,28 @@ class TestBufferReuse:
         s = StreamingSTFT(1e4, fft_size=128, hop=32)
         s.reserve(2 * 4096)
         cap = s.buffer_capacity
-        rows = [s.push(piece)[0] for piece in _chunked(x, [4096])]
+        y, _ = _stream(s, _chunked(x, [4096]))
         assert s.buffer_capacity == cap  # compaction, never reallocation
-        got = np.concatenate([r for r in rows if r.size])
-        assert np.array_equal(got, batch.magnitudes)
+        assert np.array_equal(y, batch.band_energy(BINS))
 
     def test_unreserved_growth_is_bit_identical(self):
         x = _signal(9000)
         batch = stft(x, 1e4, fft_size=64, hop=16)
         s = StreamingSTFT(1e4, fft_size=64, hop=16)
         assert s.buffer_capacity == 64  # starts window-sized
-        rows = [s.push(piece)[0] for piece in _chunked(x, [3000])]
+        y, _ = _stream(s, _chunked(x, [3000]))
         assert s.buffer_capacity >= 3000  # grew on demand
-        got = np.concatenate([r for r in rows if r.size])
-        assert np.array_equal(got, batch.magnitudes)
+        assert np.array_equal(y, batch.band_energy(BINS))
 
     def test_reserve_preserves_pending_tail(self):
         x = _signal(500)
         batch = stft(x, 1e4, fft_size=128, hop=32)
         s = StreamingSTFT(1e4, fft_size=128, hop=32)
-        first = s.push(x[:200])[0]
+        first, _ = _stream(s, [x[:200]])
         s.reserve(100_000)  # mid-stream growth must carry the tail
-        rest = s.push(x[200:])[0]
+        rest, _ = _stream(s, [x[200:]])
         got = np.concatenate([first, rest])
-        assert np.array_equal(got, batch.magnitudes)
+        assert np.array_equal(got, batch.band_energy(BINS))
 
     def test_reserve_noop_when_already_large_enough(self):
         s = StreamingSTFT(1e4, fft_size=64, hop=16)

@@ -190,7 +190,7 @@ class TestAdaptiveService:
         assert len(decisions) == 1
         assert decisions[0]["mode"] == "batched-serial"
         # And the receiver's STFT buffer was sized for chunk reuse.
-        assert receiver._band.sstft.buffer_capacity >= 2 * 4096
+        assert receiver.sstft.buffer_capacity >= 2 * 4096
 
     def test_reserved_run_is_still_bit_exact(
         self, link, link_result, bit_period

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.mux.scheduler import StreamMultiplexer
 
 
 class TestParser:
@@ -162,6 +163,39 @@ class TestStreamCommand:
         out = capsys.readouterr().out
         assert "keystroke at" in out
         assert "detection latency" in out
+
+
+class TestMuxCommand:
+    @pytest.fixture(autouse=True)
+    def bounded_ticks(self, monkeypatch):
+        # A queue whose budget never grows is never drained; bound the
+        # tick loop so that regression fails instead of hanging.
+        run = StreamMultiplexer.run
+        monkeypatch.setattr(
+            StreamMultiplexer,
+            "run",
+            lambda self, max_ticks=None: run(self, max_ticks or 1000),
+        )
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--chunk-size", "0"],
+            ["--tick-chunks", "0"],
+            ["--jitter", "-1"],
+            ["--capacity", "0"],
+            ["--duration", "0"],
+            ["--duration", "-1"],
+            # Valid, but shorter than one analysis window: no frames.
+            ["--duration", "1e-5"],
+            # Would hang: a zero budget never drains the queue.
+            ["--service-rate-factor", "0"],
+            ["--service-rate-factor", "-1"],
+        ],
+    )
+    def test_out_of_range_arguments_exit_2(self, capsys, extra):
+        assert main(["mux", "--fleet", "stream-covert=2", *extra]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestRegressCommand:
