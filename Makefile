@@ -90,26 +90,31 @@ bench-vector:
 
 # Quick end-to-end sanity checks, one per subsystem, in this order:
 #   1. process pool: one experiment fanned out across two workers;
-#   2. streaming receiver: chunked replay with arrival jitter, verified
+#   2. run: the experiment + scenario listing, and a scenario-only name
+#      (the IChannels port) through the experiment runner;
+#   3. streaming receiver: chunked replay with arrival jitter, verified
 #      bit-exact against the batch decoder (exits non-zero on
 #      divergence);
-#   3. sweep engine: the eight-config receiver grid planned along the
+#   4. sweep engine: the eight-config receiver grid planned along the
 #      chain-cache key DAG and executed through the batched lane
 #      (sharded by power root when two workers are available);
-#   4. scenario framework: the two related-attack plugins against their
+#   5. scenario framework: the two related-attack plugins against their
 #      committed metric baselines, then the conformance suite over
 #      every registered scenario (DESIGN.md section 15);
-#   5. fleet multiplexer: a 32-stream mixed fleet through the batched
-#      cross-stream DSP tick, finalised decodes checked against the
-#      per-stream golden path (exits non-zero on divergence).
+#   6. fleet multiplexer (stream --fleet): a 32-stream mixed fleet
+#      through the batched cross-stream DSP tick, finalised decodes
+#      checked against the per-stream golden path (exits non-zero on
+#      divergence).
 smoke:
 	$(PY) -m repro run table2 --jobs 2
+	$(PY) -m repro run --list
+	$(PY) -m repro run ichannels-throttle
 	$(PY) -m repro stream "smoke" --seed 1 --chunk-size 2048 --jitter 0.2
 	$(PY) -m repro sweep receiver-grid --jobs 2
 	$(PY) -m repro regress --scenario scenario-ichannels-tiny \
 		--scenario scenario-clockmod-tiny
 	$(PY) -m pytest tests/scenario/test_conformance.py -q
-	$(PY) -m repro mux --fleet stream-covert=16 --fleet keylog=8 \
+	$(PY) -m repro stream --fleet stream-covert=16 --fleet keylog=8 \
 		--fleet clockmod-fsk=8 --check
 
 # Signal-quality regression gate: re-run the fixed-seed baseline

@@ -6,6 +6,8 @@ each keystroke briefly wakes the processor, and the VRM's emission
 betrays the timing.  The attacker - behind a wall with a loop antenna -
 detects the keystroke timeline, counts characters, and recovers the
 word-length structure (the starting point for a dictionary attack).
+Finally the same capture is replayed chunk by chunk through the live
+detector, which reports each keystroke with its detection latency.
 
 Run:
     python examples/keylogger.py
@@ -66,6 +68,14 @@ def main() -> None:
     print(
         "\nword lengths plus inter-key timing reduce a dictionary attack's\n"
         "search space by orders of magnitude (Section V-B)."
+    )
+
+    # Live mode: the attacker watches the stream instead of a recording.
+    live = exp.run_streaming(text=sentence, chunk_size=4096)
+    print(
+        f"\nlive mode    : {len(live.events)} online event(s), detection "
+        f"latency mean={live.mean_detection_latency_s * 1e3:.1f} ms "
+        f"max={live.max_detection_latency_s * 1e3:.1f} ms"
     )
 
 

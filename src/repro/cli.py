@@ -2,59 +2,56 @@
 
 Subcommands
 -----------
-``list``
-    Show the available experiments (one per paper table/figure).
 ``run <id> [<id> ...]``
-    Regenerate specific tables/figures; ``run all`` runs everything.
-``send <text>``
-    Demo: transmit a string over the simulated covert channel and
-    print what the receiver recovered.
-``keylog <text>``
-    Demo: type a string and print the detected keystroke timeline
-    (``--stream`` replays the capture through the live detector and
-    reports per-keystroke detection latency).
-``stream <text>``
-    Demo: decode a covert transmission *as it arrives* - chunked
-    replay through the streaming receiver with a ring buffer,
-    backpressure, and an equivalence check against the batch decoder.
-    ``--scenario NAME`` streams any registered scenario's capture
-    (``ichannels-throttle``, ``clockmod-fsk``, ``keylog``, ...)
-    instead of a text transmission.
-``mux [--fleet SCENARIO=COUNT ...]``
-    Demo: a fleet of concurrent receivers through the streaming
-    multiplexer - shared chunk pool, per-stream backpressure, one
-    batched cross-stream DSP tick per config group (``--check``
-    verifies every finalised decode against the per-stream path).
-``regress [--record]``
-    Compare (or re-record) the fixed-seed metric baselines in
-    ``baselines/`` - the signal-quality regression gate.
+    Regenerate paper tables/figures, or run a registered scenario
+    plugin (``ichannels-throttle``, ``clockmod-fsk``, ``keylog``,
+    ``stream-covert``) and report its record digests and gauges.  An
+    experiment id wins where both registries hold a name.  ``run all``
+    runs every paper experiment; ``run --list`` shows what can run.
 ``sweep <name|spec.json>``
     Run a parameter sweep through the cache-topology-aware engine:
     plan the grid along the chain-cache key DAG (``--plan`` prints the
     plan and stops), compute each shared analog prefix exactly once,
     and fan the per-trial tails over the process pool, with resumable
     JSONL results.  ``sweep list`` shows the named presets.
-``scenario <name>``
-    Run a registered scenario plugin (transmitter / power-model /
-    channel / receiver / countermeasure components through the managed
-    lifecycle) and print its records and metrics.  ``scenario list``
-    shows the registry, including the related-attack ports
-    (``ichannels-throttle``, ``clockmod-fsk``).
+``stream <text>`` / ``stream --fleet SCENARIO[=COUNT] ...``
+    Decode a covert transmission *as it arrives*: chunked replay
+    through the streaming receiver with a ring buffer, backpressure,
+    and a bit-exact check against the batch decoder.  With ``--fleet``,
+    replay registered scenarios' captures as a fleet of concurrent
+    receivers through the streaming multiplexer - shared chunk pool,
+    per-stream backpressure, one batched cross-stream DSP tick per
+    config group (``--check`` verifies every finalised decode against
+    the per-stream path).  A lone scenario stream is ``--fleet NAME=1``.
+``regress [--record]``
+    Compare (or re-record) the fixed-seed metric baselines in
+    ``baselines/`` - the signal-quality regression gate.
 ``lint``
     Static determinism & cache-coherence analysis (``repro.lint``):
     seed provenance, wall-clock containment, cache-schema drift, raw
     store writes, span discipline, float equality.  Non-zero exit on
     any unsuppressed, unbaselined finding; part of ``make lint``.
+
+Bad arguments exit 2 with an ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 from typing import List, Optional
 
 from .params import get_profile
+
+#: ``stream`` flags that apply to one mode only (TEXT or ``--fleet``).
+_TEXT_ONLY = ("machine", "profile", "seed", "service_rate", "manifest_dir")
+_FLEET_ONLY = ("tick_chunks", "duration", "service_rate_factor", "check", "json")
+
+
+class _UsageError(Exception):
+    """A bad argument: ``main`` prints ``error: <message>`` and exits 2."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,28 +64,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list available experiments")
-
-    run_p = sub.add_parser("run", help="regenerate paper tables/figures")
-    run_p.add_argument("ids", nargs="+", help="experiment ids, or 'all'")
-    run_p.add_argument(
-        "--profile",
+    traced = argparse.ArgumentParser(add_help=False)
+    traced.add_argument(
+        "--trace",
         default=None,
-        help="simulation profile (paper, reduced, tiny, keylog); "
-        "default: per-experiment choice",
+        metavar="FILE",
+        help="write structured span/cache/stream events as JSONL to FILE",
     )
-    run_p.add_argument(
+    executed = argparse.ArgumentParser(add_help=False, parents=[traced])
+    executed.add_argument(
         "--full",
         action="store_true",
         help="paper-weight statistics (slower); default is quick mode",
     )
-    run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument(
-        "--output",
-        default=None,
-        help="also write the results as a Markdown report to this path",
-    )
-    run_p.add_argument(
+    executed.add_argument(
         "--jobs",
         type=int,
         default=None,
@@ -96,23 +85,52 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for independent trials (0 = all CPUs); "
         "results are bit-identical at any worker count",
     )
-    run_p.add_argument(
+    executed.add_argument(
         "--cache-dir",
         default=None,
         metavar="DIR",
         help="persist the content-addressed chain cache to this "
         "directory (shared across runs and workers)",
     )
-    run_p.add_argument(
+    executed.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the content-addressed chain cache",
     )
+
+    run_p = sub.add_parser(
+        "run",
+        parents=[executed],
+        help="regenerate paper tables/figures or run a scenario",
+    )
+    run_p.set_defaults(handler=_cmd_run)
     run_p.add_argument(
-        "--trace",
+        "ids",
+        nargs="*",
+        help="experiment ids or scenario names, or 'all' (every paper "
+        "experiment)",
+    )
+    run_p.add_argument(
+        "--list",
+        action="store_true",
+        help="list the experiment ids and scenario names, then exit",
+    )
+    run_p.add_argument(
+        "--profile",
         default=None,
-        metavar="FILE",
-        help="write structured stage/cache/pool events as JSONL to FILE",
+        help="simulation profile for paper experiments (paper, reduced, "
+        "tiny, keylog); default: per-experiment choice",
+    )
+    run_p.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="default: 0 for experiments, the registered seed for scenarios",
+    )
+    run_p.add_argument(
+        "--output",
+        default=None,
+        help="also write the results as a Markdown report to this path",
     )
     run_p.add_argument(
         "--manifest-dir",
@@ -122,33 +140,12 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: alongside --output when given)",
     )
 
-    regress_p = sub.add_parser(
-        "regress",
-        help="signal-quality regression gate against recorded baselines",
-    )
-    regress_p.add_argument(
-        "--record",
-        action="store_true",
-        help="re-record the baselines instead of comparing against them",
-    )
-    regress_p.add_argument(
-        "--baseline-dir",
-        default=None,
-        metavar="DIR",
-        help="baseline directory (default: ./baselines)",
-    )
-    regress_p.add_argument(
-        "--scenario",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="restrict to one scenario (repeatable; default: all)",
-    )
-
     sweep_p = sub.add_parser(
         "sweep",
+        parents=[executed],
         help="cache-topology-aware parameter sweep (plan + execute)",
     )
+    sweep_p.set_defaults(handler=_cmd_sweep)
     sweep_p.add_argument(
         "spec",
         help="preset name (see 'sweep list'), or a SweepSpec JSON file",
@@ -177,139 +174,18 @@ def build_parser() -> argparse.ArgumentParser:
         "chain cache disabled",
     )
     sweep_p.add_argument("--seed", type=int, default=0)
-    sweep_p.add_argument(
-        "--full",
-        action="store_true",
-        help="paper-weight preset sizes (slower); default is quick mode",
-    )
-    sweep_p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes (0 = all CPUs); results are "
-        "bit-identical at any worker count",
-    )
-    sweep_p.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persist the chain cache to this directory (shared across "
-        "runs and workers)",
-    )
-    sweep_p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the content-addressed chain cache",
-    )
-    sweep_p.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="write sweep.plan/sweep.trial/stage/cache events as JSONL",
-    )
-
-    scenario_p = sub.add_parser(
-        "scenario",
-        help="run a registered scenario plugin ('scenario list' to "
-        "enumerate)",
-    )
-    scenario_p.add_argument(
-        "name",
-        help="registered scenario name, or 'list'",
-    )
-    scenario_p.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="override the scenario's default seed",
-    )
-    scenario_p.add_argument(
-        "--full",
-        action="store_true",
-        help="paper-weight sizing (slower); default is quick mode",
-    )
-    scenario_p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes (0 = all CPUs)",
-    )
-    scenario_p.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persist the chain cache to this directory",
-    )
-    scenario_p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the content-addressed chain cache",
-    )
-    scenario_p.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="write scenario/component span events as JSONL",
-    )
-
-    lint_p = sub.add_parser(
-        "lint",
-        help="determinism & cache-coherence static analysis",
-    )
-    from .lint.cli import add_lint_arguments
-
-    add_lint_arguments(lint_p)
-
-    send_p = sub.add_parser("send", help="covert-channel demo")
-    send_p.add_argument("text", help="ASCII text to exfiltrate")
-    send_p.add_argument("--machine", default="Inspiron")
-    send_p.add_argument("--profile", default="tiny")
-    send_p.add_argument("--seed", type=int, default=0)
-
-    key_p = sub.add_parser("keylog", help="keylogging demo")
-    key_p.add_argument("text", help="text the victim types")
-    key_p.add_argument("--seed", type=int, default=0)
-    key_p.add_argument(
-        "--stream",
-        action="store_true",
-        help="live mode: replay the capture through the streaming "
-        "detector and report per-keystroke detection latency",
-    )
-    key_p.add_argument(
-        "--chunk-size",
-        type=int,
-        default=4096,
-        metavar="N",
-        help="samples per stream chunk (with --stream)",
-    )
 
     stream_p = sub.add_parser(
-        "stream", help="streaming covert-channel receiver demo"
+        "stream",
+        parents=[traced],
+        help="streaming covert-channel receiver, or a fleet of receivers",
     )
+    stream_p.set_defaults(handler=_cmd_stream)
     stream_p.add_argument(
         "text",
         nargs="?",
         default=None,
-        help="ASCII text to exfiltrate (omit with --scenario)",
-    )
-    stream_p.add_argument(
-        "--scenario",
-        default=None,
-        metavar="NAME",
-        help="stream a registered scenario's capture instead of a text "
-        "transmission (any scenario that renders IQ: stream-covert, "
-        "ichannels-throttle, clockmod-fsk, keylog, ...)",
-    )
-    stream_p.add_argument("--machine", default="Inspiron")
-    stream_p.add_argument("--profile", default="tiny")
-    stream_p.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="default: 0, or the scenario's registered seed with "
-        "--scenario",
+        help="ASCII text to exfiltrate (omit with --fleet)",
     )
     stream_p.add_argument(
         "--chunk-size",
@@ -319,17 +195,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="samples per stream chunk",
     )
     stream_p.add_argument(
-        "--buffer-capacity",
+        "--capacity",
         type=int,
         default=64,
         metavar="N",
-        help="ring buffer capacity in chunks",
+        help="per-stream buffer capacity in chunks",
     )
     stream_p.add_argument(
         "--policy",
         choices=("block", "drop-oldest"),
         default="block",
-        help="ring buffer overflow policy",
+        help="buffer overflow policy",
     )
     stream_p.add_argument(
         "--jitter",
@@ -338,7 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="REL",
         help="chunk arrival jitter as a fraction of the chunk duration",
     )
-    stream_p.add_argument(
+    text_g = stream_p.add_argument_group("TEXT mode")
+    text_g.add_argument("--machine", default=None, help="default: Inspiron")
+    text_g.add_argument("--profile", default=None, help="default: tiny")
+    text_g.add_argument("--seed", type=int, default=None, help="default: 0")
+    text_g.add_argument(
         "--service-rate",
         type=float,
         default=None,
@@ -346,59 +226,36 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulated receiver throughput in samples/s "
         "(default: infinitely fast, lossless)",
     )
-    stream_p.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="write per-chunk spans and stream events as JSONL to FILE",
-    )
-    stream_p.add_argument(
+    text_g.add_argument(
         "--manifest-dir",
         default=None,
         metavar="DIR",
         help="write a run manifest (stats + metrics) to DIR",
     )
-
-    mux_p = sub.add_parser(
-        "mux",
-        help="fleet streaming demo: many receivers, one batched DSP tick",
-    )
-    mux_p.add_argument(
+    fleet_g = stream_p.add_argument_group("fleet mode")
+    fleet_g.add_argument(
         "--fleet",
         action="append",
         default=None,
         metavar="SCENARIO[=COUNT]",
-        help="add COUNT streams replaying SCENARIO's capture "
-        "(repeatable; default stream-covert=32)",
+        help="add COUNT (default 1) streams replaying a registered "
+        "scenario's capture (repeatable)",
     )
-    mux_p.add_argument("--chunk-size", type=int, default=512, metavar="N")
-    mux_p.add_argument(
+    fleet_g.add_argument(
         "--tick-chunks",
         type=int,
-        default=16,
+        default=None,
         metavar="N",
-        help="chunks per stream per scheduler tick",
+        help="chunks per stream per scheduler tick (default: 16)",
     )
-    mux_p.add_argument(
+    fleet_g.add_argument(
         "--duration",
         type=float,
         default=None,
         metavar="S",
         help="replay only the first S seconds of each capture",
     )
-    mux_p.add_argument("--jitter", type=float, default=0.05, metavar="REL")
-    mux_p.add_argument(
-        "--capacity",
-        type=int,
-        default=None,
-        metavar="N",
-        help="per-stream queue capacity in chunks "
-        "(default: two ticks' arrivals, drop-free)",
-    )
-    mux_p.add_argument(
-        "--policy", choices=("block", "drop-oldest"), default="drop-oldest"
-    )
-    mux_p.add_argument(
+    fleet_g.add_argument(
         "--service-rate-factor",
         type=float,
         default=None,
@@ -406,80 +263,150 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-stream service budget as a multiple of the capture "
         "sample rate (default: unlimited, lossless)",
     )
-    mux_p.add_argument(
+    fleet_g.add_argument(
         "--check",
         action="store_true",
         help="verify every finalised decode against the per-stream "
         "golden path (requires a drop-free run; exits non-zero on "
         "divergence)",
     )
-    mux_p.add_argument(
+    fleet_g.add_argument(
         "--json",
         default=None,
         metavar="FILE",
         help="write the fleet summary as JSON to FILE",
     )
-    mux_p.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="write mux spans (tick/group/run) as JSONL to FILE",
+
+    regress_p = sub.add_parser(
+        "regress",
+        help="signal-quality regression gate against recorded baselines",
     )
+    regress_p.set_defaults(handler=_cmd_regress)
+    regress_p.add_argument(
+        "--record",
+        action="store_true",
+        help="re-record the baselines instead of comparing against them",
+    )
+    regress_p.add_argument(
+        "--baseline-dir",
+        default=None,
+        metavar="DIR",
+        help="baseline directory (default: ./baselines)",
+    )
+    regress_p.add_argument(
+        "--scenario",
+        action="append",
+        default=None,
+        metavar="NAME",
+        help="restrict to one scenario (repeatable; default: all)",
+    )
+
+    lint_p = sub.add_parser(
+        "lint",
+        help="determinism & cache-coherence static analysis",
+    )
+    from .lint.cli import add_lint_arguments, cmd_lint
+
+    lint_p.set_defaults(handler=cmd_lint)
+    add_lint_arguments(lint_p)
     return parser
 
 
-def _cmd_list() -> int:
-    from .experiments import list_experiments
+def _check_ranges(checks) -> None:
+    """Raise for the first ``(flag, value, floor)`` out of range; a
+    floor of None means strictly positive.  Written so NaN fails too."""
+    for flag, value, floor in checks:
+        if value is not None and not (
+            value > 0 if floor is None else value >= floor
+        ):
+            need = "positive" if floor is None else f">= {floor}"
+            raise _UsageError(f"{flag} must be {need}, got {value}")
 
-    for eid in list_experiments():
-        print(eid)
-    return 0
+
+@contextlib.contextmanager
+def _traced(args, *scopes):
+    """Enter ``scopes``, then trace to ``--trace`` when it is given."""
+    from .obs.trace import tracing_scope
+
+    with contextlib.ExitStack() as stack:
+        for scope in scopes:
+            stack.enter_context(scope)
+        if args.trace:
+            stack.enter_context(tracing_scope(args.trace))
+        yield stack
 
 
-def _cmd_run(args) -> int:
+def _execution(args):
+    """The one execution scope ``run`` and ``sweep`` share: checks
+    ``--jobs``/``--cache-dir`` and applies ``--no-cache``."""
+    from .exec.context import execution_scope
     from .exec.pool import default_jobs
-    from .experiments.runner import run_experiments
 
-    ids = None if args.ids == ["all"] else args.ids
-    profile = get_profile(args.profile) if args.profile else None
-    jobs = args.jobs
-    if jobs is not None and jobs < 0:
-        print(f"error: --jobs must be >= 0, got {jobs}", file=sys.stderr)
-        return 2
-    if jobs == 0:
-        jobs = default_jobs()
+    _check_ranges([("--jobs", args.jobs, 0)])
+    overrides = {}
+    if args.jobs is not None:
+        overrides["jobs"] = args.jobs or default_jobs()
+    if args.no_cache:
+        overrides["cache_enabled"] = False
     if args.cache_dir is not None:
         cache_path = Path(args.cache_dir)
         if cache_path.exists() and not cache_path.is_dir():
-            print(
-                f"error: --cache-dir {args.cache_dir} exists and is not "
-                "a directory",
-                file=sys.stderr,
+            raise _UsageError(
+                f"--cache-dir {args.cache_dir} exists and is not a directory"
             )
-            return 2
+        overrides["cache_dir"] = args.cache_dir
+    return _traced(args, execution_scope(**overrides))
+
+
+def _cmd_run(args) -> int:
+    from .experiments import get_experiment, list_experiments
+    from .experiments.runner import run_experiments
+    from .scenario import get_scenario, list_scenarios
+
+    experiments = list_experiments()
+    if args.list:
+        for eid in experiments:
+            print(eid)
+        for name in list_scenarios():
+            if name not in experiments:
+                spec = get_scenario(name).spec
+                tags = f" [{', '.join(spec.tags)}]" if spec.tags else ""
+                print(f"{name:<20} {spec.title}{tags}")
+        return 0
+    if not args.ids:
+        raise _UsageError("give experiment ids or scenario names (see --list)")
+    ids = None if args.ids == ["all"] else args.ids
+    for eid in ids or ():
+        try:
+            get_experiment(eid)
+        except KeyError as exc:
+            raise _UsageError(exc.args[0]) from None
+        if args.profile and eid not in experiments:
+            raise _UsageError(
+                f"--profile applies to paper experiments; {eid!r} is a "
+                "scenario with its own sizing"
+            )
     manifest_dir = args.manifest_dir
     if manifest_dir is None and args.output:
         manifest_dir = str(Path(args.output).resolve().parent)
-    results = run_experiments(
-        ids,
-        profile=profile,
-        quick=not args.full,
-        seed=args.seed,
-        jobs=jobs,
-        use_cache=False if args.no_cache else None,
-        cache_dir=args.cache_dir,
-        trace=args.trace,
-        manifest_dir=manifest_dir,
-    )
+    with _execution(args):
+        results = run_experiments(
+            ids,
+            profile=get_profile(args.profile) if args.profile else None,
+            quick=not args.full,
+            seed=args.seed,
+            manifest_dir=manifest_dir,
+        )
     if args.output:
         from .reporting import write_report
 
+        seeds = sorted({r.manifest["seed"] for r in results})
         write_report(
             results,
             args.output,
             preamble=(
                 f"Profile: {args.profile or 'per-experiment default'}; "
-                f"quick={not args.full}; seed={args.seed}."
+                f"quick={not args.full}; seed={', '.join(map(str, seeds))}."
             ),
         )
         print(f"report written to {args.output}")
@@ -500,12 +427,8 @@ def _cmd_regress(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    import contextlib
     import json
 
-    from .exec.context import execution_scope
-    from .exec.pool import default_jobs
-    from .obs.trace import tracing_scope
     from .sweep import SweepSpec, get_preset, plan_sweep, run_sweep
     from .sweep.presets import PRESETS
 
@@ -519,32 +442,13 @@ def _cmd_sweep(args) -> int:
             with spec_path.open("r", encoding="utf-8") as fh:
                 spec = SweepSpec.from_mapping(json.load(fh))
         except (json.JSONDecodeError, ValueError) as exc:
-            print(f"error: bad sweep spec {args.spec}: {exc}", file=sys.stderr)
-            return 2
+            raise _UsageError(f"bad sweep spec {args.spec}: {exc}") from None
     else:
         try:
             spec = get_preset(args.spec, seed=args.seed, quick=not args.full)
         except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-    jobs = args.jobs
-    if jobs is not None and jobs < 0:
-        print(f"error: --jobs must be >= 0, got {jobs}", file=sys.stderr)
-        return 2
-    if jobs == 0:
-        jobs = default_jobs()
-    with contextlib.ExitStack() as stack:
-        overrides = {}
-        if jobs is not None:
-            overrides["jobs"] = jobs
-        if args.no_cache:
-            overrides["cache_enabled"] = False
-        if args.cache_dir is not None:
-            overrides["cache_dir"] = args.cache_dir
-        if overrides:
-            stack.enter_context(execution_scope(**overrides))
-        if args.trace:
-            stack.enter_context(tracing_scope(args.trace))
+            raise _UsageError(exc.args[0]) from None
+    with _execution(args):
         plan = plan_sweep(spec)
         print(plan.describe())
         if args.plan:
@@ -585,177 +489,51 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_scenario(args) -> int:
-    import contextlib
-
-    from .exec.context import execution_scope
-    from .exec.pool import default_jobs
-    from .obs.trace import tracing_scope
-    from .scenario import get_scenario, list_scenarios, run_registered
-    from .scenario.registry import scenario_id
-
-    if args.name == "list":
-        for name in list_scenarios():
-            spec = get_scenario(name).spec
-            tags = f" [{', '.join(spec.tags)}]" if spec.tags else ""
-            print(f"{name:<20} {spec.title}{tags}")
-        return 0
-    try:
-        info = get_scenario(args.name)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    jobs = args.jobs
-    if jobs is not None and jobs < 0:
-        print(f"error: --jobs must be >= 0, got {jobs}", file=sys.stderr)
-        return 2
-    if jobs == 0:
-        jobs = default_jobs()
-    with contextlib.ExitStack() as stack:
-        overrides = {}
-        if jobs is not None:
-            overrides["jobs"] = jobs
-        if args.no_cache:
-            overrides["cache_enabled"] = False
-        if args.cache_dir is not None:
-            overrides["cache_dir"] = args.cache_dir
-        if overrides:
-            stack.enter_context(execution_scope(**overrides))
-        if args.trace:
-            stack.enter_context(tracing_scope(args.trace))
-        outcome = run_registered(
-            args.name,
-            seed=args.seed,
-            quick=not args.full,
-        )
-    spec = info.spec
-    print(f"scenario {spec.name!r}: {spec.title}")
-    print(f"  id {scenario_id(spec)[:16]}  seed {outcome.seed}  "
-          f"components: {' -> '.join(outcome.order)}")
-    for record in outcome.records:
-        print(f"  record {record['label']}: digest {record['digest']}")
-    for name in sorted(outcome.metrics):
-        print(f"  {name} = {outcome.metrics[name]:g}")
-    print(f"done in {outcome.elapsed_s:.2f}s")
-    return 0
-
-
-def _cmd_send(args) -> int:
-    from .core.coding import bits_to_bytes, bytes_to_bits, hamming_decode
-    from .core.sync import strip_header
-    from .covert.link import CovertLink
-    from .systems.laptops import by_name
-
-    link = CovertLink(
-        machine=by_name(args.machine),
-        profile=get_profile(args.profile),
-        seed=args.seed,
-        use_ecc=True,
-    )
-    payload = bytes_to_bits(args.text.encode("ascii"))
-    print(f"transmitting {payload.size} bits on {link.machine.name} ...")
-    result = link.run(payload)
-    m = result.metrics
-    print(
-        f"raw channel: BER={m.ber:.4f} IP={m.insertion_probability:.4f} "
-        f"DP={m.deletion_probability:.4f} "
-        f"TR={result.transmission_rate_bps:.0f} bps (paper scale)"
-    )
-    recovered = strip_header(result.decode.bits, link.frame_format)
-    if recovered is None:
-        print("receiver failed to synchronize")
-        return 1
-    data, corrected = hamming_decode(recovered)
-    text = bits_to_bytes(data[: payload.size]).decode("ascii", errors="replace")
-    print(f"ECC corrected {corrected} bit(s)")
-    print(f"received: {text!r}")
-    return 0
-
-
-def _cmd_keylog(args) -> int:
-    from .keylog.evaluate import KeylogExperiment
-
-    exp = KeylogExperiment(seed=args.seed)
-    if args.stream:
-        if args.chunk_size < 1:
-            print(
-                f"error: --chunk-size must be >= 1, got {args.chunk_size}",
-                file=sys.stderr,
-            )
-            return 2
-        live = exp.run_streaming(text=args.text, chunk_size=args.chunk_size)
-        result = live.result
-    else:
-        result = exp.run(text=args.text)
-    print(
-        f"typed {result.n_keystrokes} keystrokes; detected "
-        f"{result.n_detected} "
-        f"(TPR={result.true_positive_rate:.2f}, "
-        f"FPR={result.false_positive_rate:.2f})"
-    )
-    for ev in result.detection.events:
-        print(f"  keystroke at {ev.start:7.3f}s  ({ev.duration * 1e3:5.1f} ms)")
-    if args.stream:
-        print(
-            f"live mode: {len(live.events)} online event(s), detection "
-            f"latency mean={live.mean_detection_latency_s * 1e3:.1f} ms "
-            f"max={live.max_detection_latency_s * 1e3:.1f} ms"
-        )
-    return 0
-
-
 def _cmd_stream(args) -> int:
-    import contextlib
+    _check_ranges(
+        [
+            ("--chunk-size", args.chunk_size, 1),
+            ("--capacity", args.capacity, 1),
+            ("--jitter", args.jitter, 0),
+            ("--service-rate", args.service_rate, None),
+            ("--tick-chunks", args.tick_chunks, 1),
+            ("--duration", args.duration, None),
+            ("--service-rate-factor", args.service_rate_factor, None),
+        ]
+    )
+    if (args.text is None) == (args.fleet is None):
+        raise _UsageError("give either TEXT or --fleet (not both)")
+    other = _TEXT_ONLY if args.fleet else _FLEET_ONLY
+    # Identity, not equality: ``--seed 0`` is given, ``check=False`` is not.
+    given = [
+        name
+        for name in other
+        if getattr(args, name) is not None and getattr(args, name) is not False
+    ]
+    if given:
+        flags = ", ".join("--" + name.replace("_", "-") for name in given)
+        mode = "TEXT" if args.text is not None else "--fleet"
+        raise _UsageError(f"{flags} cannot be used with {mode}")
+    if args.fleet:
+        return _stream_fleet(args)
+    return _stream_text(args)
 
+
+def _stream_text(args) -> int:
+    """``stream TEXT``: one streaming receiver, checked against batch."""
     import numpy as np
 
     from .core.coding import bytes_to_bits
     from .covert.link import CovertLink
     from .obs.manifest import build_manifest, write_manifest
     from .obs.metrics import metrics_scope
-    from .obs.trace import tracing_scope
     from .stream import CaptureChunkSource, StreamingReceiver, StreamRunner
     from .systems.laptops import by_name
 
-    if args.chunk_size < 1:
-        print(
-            f"error: --chunk-size must be >= 1, got {args.chunk_size}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.buffer_capacity < 1:
-        print(
-            "error: --buffer-capacity must be >= 1, got "
-            f"{args.buffer_capacity}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.jitter < 0:
-        print(f"error: --jitter cannot be negative, got {args.jitter}",
-              file=sys.stderr)
-        return 2
-    if args.service_rate is not None and args.service_rate <= 0:
-        print(
-            f"error: --service-rate must be positive, got {args.service_rate}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.scenario is not None:
-        if args.text is not None:
-            print(
-                "error: give either TEXT or --scenario, not both",
-                file=sys.stderr,
-            )
-            return 2
-        return _cmd_stream_scenario(args)
-    if args.text is None:
-        print("error: TEXT is required without --scenario", file=sys.stderr)
-        return 2
-
-    seed = 0 if args.seed is None else args.seed
+    seed = args.seed or 0
     link = CovertLink(
-        machine=by_name(args.machine),
-        profile=get_profile(args.profile),
+        machine=by_name(args.machine or "Inspiron"),
+        profile=get_profile(args.profile or "tiny"),
         seed=seed,
     )
     payload = bytes_to_bits(args.text.encode("ascii"))
@@ -765,10 +543,8 @@ def _cmd_stream(args) -> int:
         np.random.default_rng(link.seed)
     ).nominal_bit_duration_s()
 
-    with contextlib.ExitStack() as stack:
+    with _traced(args) as stack:
         registry = stack.enter_context(metrics_scope())
-        if args.trace:
-            stack.enter_context(tracing_scope(args.trace))
         source = CaptureChunkSource(
             batch.capture, args.chunk_size, jitter_rel=args.jitter
         )
@@ -782,7 +558,7 @@ def _cmd_stream(args) -> int:
         runner = StreamRunner(
             source,
             receiver,
-            buffer_capacity=args.buffer_capacity,
+            buffer_capacity=args.capacity,
             policy=args.policy,
             service_rate_sps=args.service_rate,
         )
@@ -842,110 +618,26 @@ def _cmd_stream(args) -> int:
     return 0
 
 
-def _cmd_stream_scenario(args) -> int:
-    """``repro stream --scenario NAME``: stream any registered scenario."""
-    import contextlib
-
-    import numpy as np
-
-    from .core.align import align_bits
-    from .mux.fleet import stream_spec_from_scenario
-    from .obs.metrics import metrics_scope
-    from .obs.trace import tracing_scope
-    from .stream import StreamRunner
-
-    try:
-        spec = stream_spec_from_scenario(args.scenario, seed=args.seed)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    capture = spec.capture
-    print(
-        f"streaming scenario {spec.scenario!r} (seed {spec.seed}, "
-        f"{spec.kind}): {capture.samples.size} samples at "
-        f"{capture.sample_rate:.0f} S/s, band {spec.vrm_frequency_hz:.0f} Hz"
-    )
-
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(metrics_scope())
-        if args.trace:
-            stack.enter_context(tracing_scope(args.trace))
-        source = spec.make_source(args.chunk_size, args.jitter, spec.seed)
-        receiver = spec.make_receiver(online=True)
-        runner = StreamRunner(
-            source,
-            receiver,
-            buffer_capacity=args.buffer_capacity,
-            policy=args.policy,
-            service_rate_sps=args.service_rate,
-        )
-        run = runner.run()
-        final = receiver.finalize()
-
-    stats = run.stats
-    print(
-        f"streamed {stats.chunks_total} chunk(s) of {args.chunk_size}: "
-        f"{stats.chunks_processed} processed, {stats.chunks_dropped} "
-        f"dropped, {stats.chunks_shed} shed "
-        f"(policy={stats.policy}, capacity={stats.buffer_capacity})"
-    )
-    if spec.kind == "keylog":
-        print(
-            f"finalised {len(final.events)} keystroke event(s); "
-            f"{run.n_events} online event(s)"
-        )
-        return 0
-    line = f"finalised {final.bits.size} bit(s)"
-    if spec.tx_bits is not None and final.bits.size:
-        ber = align_bits(np.asarray(spec.tx_bits), final.bits).ber
-        line += f"; BER vs transmitted: {ber:.3f}"
-    print(line + f"; sync={'locked' if receiver.synchronized else 'none'}")
-    return 0
-
-
-def _cmd_mux(args) -> int:
-    import contextlib
+def _stream_fleet(args) -> int:
+    """``stream --fleet``: many receivers through the multiplexer."""
     import json
     import time
 
     from .mux import FleetStreamSpec, build_multiplexer, finalized_digests
     from .mux.fleet import golden_digest
     from .obs.metrics import metrics_scope
-    from .obs.trace import tracing_scope
 
-    for flag, value, floor in (
-        ("--chunk-size", args.chunk_size, 1),
-        ("--tick-chunks", args.tick_chunks, 1),
-        ("--capacity", args.capacity, 1),
-        ("--jitter", args.jitter, 0),
-        ("--duration", args.duration, None),  # None: strictly positive
-        ("--service-rate-factor", args.service_rate_factor, None),
-    ):
-        # Written so that NaN fails too.
-        if value is not None and not (
-            value > 0 if floor is None else value >= floor
-        ):
-            need = "positive" if floor is None else f">= {floor}"
-            print(f"error: {flag} must be {need}, got {value}",
-                  file=sys.stderr)
-            return 2
-
-    entries = args.fleet if args.fleet else ["stream-covert=32"]
     fleet = []
-    for entry in entries:
+    for entry in args.fleet:
         name, _, count = entry.partition("=")
         try:
             n = int(count) if count else 1
         except ValueError:
-            print(
-                f"error: bad --fleet entry {entry!r} "
-                "(expected SCENARIO[=COUNT])",
-                file=sys.stderr,
-            )
-            return 2
+            n = 0
         if n < 1 or not name:
-            print(f"error: bad --fleet entry {entry!r}", file=sys.stderr)
-            return 2
+            raise _UsageError(
+                f"bad --fleet entry {entry!r} (expected SCENARIO[=COUNT])"
+            )
         fleet.append(
             FleetStreamSpec(
                 name,
@@ -958,19 +650,16 @@ def _cmd_mux(args) -> int:
             )
         )
 
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(metrics_scope())
-        if args.trace:
-            stack.enter_context(tracing_scope(args.trace))
+    with _traced(args, metrics_scope()):
         try:
             mux, by_stream = build_multiplexer(
                 fleet,
                 chunk_size=args.chunk_size,
-                tick_chunks=args.tick_chunks,
+                tick_chunks=args.tick_chunks or 16,
             )
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
+        except (KeyError, ValueError) as exc:
+            # An unknown scenario, or one that renders no capture.
+            raise _UsageError(exc.args[0]) from None
         t0 = time.perf_counter()
         mux.run()
         elapsed = time.perf_counter() - t0
@@ -980,13 +669,11 @@ def _cmd_mux(args) -> int:
         sid for sid in mux.stream_ids if mux.state(sid).mux.sstft.n_frames == 0
     ]
     if empty:
-        print(
-            f"error: {len(empty)} stream(s) produced no envelope frames "
+        raise _UsageError(
+            f"{len(empty)} stream(s) produced no envelope frames "
             f"(first: {empty[0]}); the replayed capture is shorter than "
-            "one analysis window - raise --duration",
-            file=sys.stderr,
+            "one analysis window - raise --duration"
         )
-        return 2
 
     totals = mux.totals()
     print(
@@ -1001,17 +688,16 @@ def _cmd_mux(args) -> int:
         f"{mux.pool.n_slabs} slab(s); {totals['events']} online event(s)"
     )
     digests = finalized_digests(mux, by_stream)
-
-    summary = {
-        "streams": mux.n_streams,
-        "ticks": mux.ticks,
-        "elapsed_s": round(elapsed, 3),
-        "shed_fraction": mux.shed_fraction(),
-        "totals": totals,
-        "pool_high_watermark": mux.pool.high_watermark,
-        "digests": digests,
-    }
     if args.json:
+        summary = {
+            "streams": mux.n_streams,
+            "ticks": mux.ticks,
+            "elapsed_s": round(elapsed, 3),
+            "shed_fraction": mux.shed_fraction(),
+            "totals": totals,
+            "pool_high_watermark": mux.pool.high_watermark,
+            "digests": digests,
+        }
         path = Path(args.json)
         path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
         print(f"summary written to {path}")
@@ -1019,13 +705,10 @@ def _cmd_mux(args) -> int:
     if args.check:
         lossy = totals["dropped_chunks"] + totals["shed_chunks"]
         if lossy:
-            print(
-                f"error: --check needs a drop-free run but {lossy} "
-                "chunk(s) were lost; raise --capacity or drop "
-                "--service-rate-factor",
-                file=sys.stderr,
+            raise _UsageError(
+                f"--check needs a drop-free run but {lossy} chunk(s) were "
+                "lost; raise --capacity or drop --service-rate-factor"
             )
-            return 2
         goldens: dict = {}
         diverged = 0
         for stream_id, spec in by_stream.items():
@@ -1055,29 +738,11 @@ def _cmd_mux(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "regress":
-        return _cmd_regress(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "scenario":
-        return _cmd_scenario(args)
-    if args.command == "lint":
-        from .lint.cli import cmd_lint
-
-        return cmd_lint(args)
-    if args.command == "send":
-        return _cmd_send(args)
-    if args.command == "keylog":
-        return _cmd_keylog(args)
-    if args.command == "stream":
-        return _cmd_stream(args)
-    if args.command == "mux":
-        return _cmd_mux(args)
-    raise AssertionError("unreachable")
+    try:
+        return args.handler(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

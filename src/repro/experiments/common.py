@@ -9,11 +9,13 @@ Every table/figure in the paper has a module here exposing
 words typed) for speed; benchmarks and tests use quick mode, the CLI's
 ``--full`` flag turns it off.  Results render as aligned text tables so
 ``python -m repro run <experiment>`` reproduces the paper's artifact
-as terminal output.
+as terminal output.  A registered scenario name runs through the same
+harness (:func:`run_scenario`), so ``run`` reports both alike.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -117,9 +119,60 @@ def list_experiments() -> List[str]:
 
 
 def get_experiment(experiment_id: str) -> Callable:
+    """The run callable for a paper experiment or a registered scenario.
+
+    An experiment id wins: ``table2``, ``table3`` and ``fig7`` name
+    both, and those experiments run that same scenario and render its
+    table.  A scenario-only name (``clockmod-fsk``, ...) runs through
+    :func:`run_scenario`.
+    """
+    from ..scenario import get_scenario, list_scenarios
+
     list_experiments()
-    try:
+    if experiment_id in REGISTRY:
         return REGISTRY[experiment_id]
+    try:
+        get_scenario(experiment_id)
     except KeyError:
-        known = ", ".join(sorted(REGISTRY))
-        raise KeyError(f"unknown experiment {experiment_id!r}; known: {known}")
+        scenarios = [s for s in list_scenarios() if s not in REGISTRY]
+        raise KeyError(
+            f"unknown experiment {experiment_id!r}; known: "
+            f"{', '.join(sorted(REGISTRY))}; scenarios: {', '.join(scenarios)}"
+        ) from None
+    return functools.partial(run_scenario, experiment_id)
+
+
+def default_seed(experiment_id: str) -> int:
+    """The seed an id runs at when none is given: 0 for a paper
+    experiment, the registered ``default_seed`` for a scenario."""
+    from ..scenario import get_scenario
+
+    if experiment_id in list_experiments():
+        return 0
+    return get_scenario(experiment_id).spec.default_seed
+
+
+def run_scenario(name: str, quick: bool = True, seed: int = 0) -> ExperimentResult:
+    """A registered scenario as an experiment: one row per record (its
+    digest), then one per gauge."""
+    from ..scenario import get_scenario, run_registered, scenario_id
+
+    spec = get_scenario(name).spec
+    outcome = run_registered(name, seed=seed, quick=quick)
+    rows = [
+        {"name": f"record {r['label']}", "value": r["digest"]}
+        for r in outcome.records
+    ]
+    rows += [
+        {"name": key, "value": f"{outcome.metrics[key]:g}"}
+        for key in sorted(outcome.metrics)
+    ]
+    return ExperimentResult(
+        experiment_id=name,
+        title=spec.title,
+        rows=rows,
+        notes=[
+            f"scenario id {scenario_id(spec)[:16]}, seed {outcome.seed}; "
+            f"components: {' -> '.join(outcome.order)}"
+        ],
+    )

@@ -22,27 +22,14 @@ def run(
     profile: SimProfile = KEYLOG,
     quick: bool = True,
     seed: int = 0,
-    streaming: bool = False,
 ) -> ExperimentResult:
     exp = KeylogExperiment(machine=DELL_PRECISION, profile=profile, seed=seed)
-    live = None
-    if streaming:
-        # Live mode: same capture replayed chunk by chunk through the
-        # streaming detector (repro.stream); the finalised detection
-        # matches the batch one, and each keystroke additionally gets a
-        # detection-latency stamp from its online event.
-        live = exp.run_streaming(SENTENCE)
-        detection = live.result.detection
-        # Typing is seed-deterministic, so regenerating the session
-        # yields the exact keystrokes the streaming run detected.
-        keystrokes, capture = exp.type_and_capture(SENTENCE)
-    else:
-        keystrokes, capture = exp.type_and_capture(SENTENCE)
-        detector = KeystrokeDetector(
-            DELL_PRECISION.vrm_frequency_hz / profile.total_freq_divisor,
-            exp.detector_config,
-        )
-        detection = detector.detect(capture)
+    keystrokes, capture = exp.type_and_capture(SENTENCE)
+    detector = KeystrokeDetector(
+        DELL_PRECISION.vrm_frequency_hz / profile.total_freq_divisor,
+        exp.detector_config,
+    )
+    detection = detector.detect(capture)
     tp, fp, fn = match_events(detection.events, keystrokes)
     seg = segment_words(detection.events)
     true_lengths = [len(w) for w in SENTENCE.split(" ")]
@@ -59,24 +46,6 @@ def run(
         "paper: each character (including whitespace) produces a "
         "distinguishable spike; word grouping follows from gaps",
     ]
-    if live is not None:
-        rows.append(
-            {
-                "quantity": "online detection latency (mean ms)",
-                "value": round(live.mean_detection_latency_s * 1e3, 1),
-            }
-        )
-        rows.append(
-            {
-                "quantity": "online detection latency (max ms)",
-                "value": round(live.max_detection_latency_s * 1e3, 1),
-            }
-        )
-        notes.append(
-            "streaming mode: detection ran live over "
-            f"{live.stats.chunks_processed} chunk(s); latencies are "
-            "keystroke-end to online-event emission"
-        )
     return ExperimentResult(
         experiment_id="fig11",
         title='Keylogging spectrogram for "can you hear me"',

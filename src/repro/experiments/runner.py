@@ -9,67 +9,65 @@ from typing import Iterable, List, Optional
 from ..exec.context import execution_scope
 from ..exec.timing import collect_timings, format_timings
 from ..obs.metrics import flatten, metrics_scope
-from ..obs.trace import trace_event, tracing_scope
+from ..obs.trace import trace_event
 from ..params import SimProfile
-from .common import ExperimentResult, get_experiment, list_experiments
+from .common import (
+    ExperimentResult,
+    default_seed,
+    get_experiment,
+    list_experiments,
+)
 
 
 def run_experiments(
     experiment_ids: Optional[Iterable[str]] = None,
     profile: Optional[SimProfile] = None,
     quick: bool = True,
-    seed: int = 0,
+    seed: Optional[int] = None,
     echo=print,
     jobs: Optional[int] = None,
-    use_cache: Optional[bool] = None,
-    cache_dir: Optional[str] = None,
-    trace: Optional[str] = None,
     manifest_dir: Optional[str] = None,
 ) -> List[ExperimentResult]:
     """Run a set of experiments and echo their rendered tables.
 
-    ``experiment_ids`` of None runs everything in the registry.  Each
+    ``experiment_ids`` of None runs every paper experiment; an id may
+    also name a registered scenario (see :func:`get_experiment`).  Each
     experiment picks its own default profile when ``profile`` is None
     (keystroke experiments use frequency scaling, the rest use time
-    dilation).
+    dilation), and its own seed when ``seed`` is None
+    (:func:`default_seed`).
 
-    ``jobs`` / ``use_cache`` / ``cache_dir`` override the execution
-    configuration for the duration of the batch; None inherits the
-    active config.  Trial fan-out happens *inside* each experiment
-    (rows, repetitions, page loads), so progress still streams one
-    experiment at a time and a fixed seed gives bit-identical tables at
-    any worker count.
+    ``jobs`` overrides the worker count for the duration of the batch;
+    None inherits the active execution config, which is where the CLI
+    puts its cache and tracing flags.  Trial fan-out happens *inside*
+    each experiment (rows, repetitions, page loads), so progress still
+    streams one experiment at a time and a fixed seed gives
+    bit-identical tables at any worker count.
 
-    ``trace`` names a JSONL file collecting structured stage/cache/pool
-    events for the whole batch (:mod:`repro.obs.trace`).  Every result
-    carries a run manifest and the flattened signal-quality metrics
-    collected during its run; ``manifest_dir`` additionally writes each
-    manifest as ``<dir>/<experiment>.manifest.json``.
+    Every result carries a run manifest and the flattened
+    signal-quality metrics collected during its run; ``manifest_dir``
+    additionally writes each manifest as
+    ``<dir>/<experiment>.manifest.json``.
     """
     from ..obs.manifest import build_manifest, manifest_path, write_manifest
 
     ids = list(experiment_ids) if experiment_ids is not None else list_experiments()
-    overrides = {}
-    if jobs is not None:
-        overrides["jobs"] = jobs
-    if use_cache is not None:
-        overrides["cache_enabled"] = use_cache
-    if cache_dir is not None:
-        overrides["cache_dir"] = cache_dir
     results: List[ExperimentResult] = []
     with ExitStack() as stack:
-        stack.enter_context(execution_scope(**overrides))
-        if trace is not None:
-            stack.enter_context(tracing_scope(trace))
+        if jobs is not None:
+            stack.enter_context(execution_scope(jobs=jobs))
         for eid in ids:
             fn = get_experiment(eid)
-            trace_event("experiment", phase="start", experiment=eid, seed=seed)
+            seed_used = default_seed(eid) if seed is None else seed
+            trace_event(
+                "experiment", phase="start", experiment=eid, seed=seed_used
+            )
             started = time.perf_counter()
             with collect_timings() as timings, metrics_scope() as registry:
                 if profile is None:
-                    result = fn(quick=quick, seed=seed)
+                    result = fn(quick=quick, seed=seed_used)
                 else:
-                    result = fn(profile=profile, quick=quick, seed=seed)
+                    result = fn(profile=profile, quick=quick, seed=seed_used)
             elapsed = time.perf_counter() - started
             snapshot = registry.snapshot()
             result.timings = dict(timings)
@@ -78,7 +76,7 @@ def run_experiments(
                 experiment_id=eid,
                 title=result.title,
                 profile=profile,
-                seed=seed,
+                seed=seed_used,
                 quick=quick,
                 rows=result.rows,
                 timings=result.timings,

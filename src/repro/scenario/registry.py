@@ -1,7 +1,7 @@
 """The scenario registry: name -> (spec, component factory).
 
 Registration is the whole integration surface: a registered scenario is
-runnable from the CLI (``repro scenario NAME``), eligible for a
+runnable from the CLI (``repro run NAME``), eligible for a
 baseline under ``make regress``, and *automatically* covered by the
 conformance suite (``tests/scenario/test_conformance.py`` parametrizes
 over :func:`list_scenarios`), so a new plugin is tested by registration

@@ -56,6 +56,27 @@ from .demod import (
 from .source import StreamMeta
 
 
+class _Growing:
+    """Append-only float64 array grown by amortised doubling (the
+    :meth:`StreamingSTFT.reserve` pattern), so a long stream copies its
+    envelope O(log n) times instead of once per push.  :meth:`extend`
+    returns a view of the filled prefix; filled values never change."""
+
+    def __init__(self) -> None:
+        self._buf = np.empty(0)
+        self._size = 0
+
+    def extend(self, new: np.ndarray) -> np.ndarray:
+        need = self._size + new.size
+        if need > self._buf.size:
+            grown = np.empty(max(need, 2 * self._buf.size))
+            grown[: self._size] = self._buf[: self._size]
+            self._buf = grown
+        self._buf[self._size : need] = new
+        self._size = need
+        return self._buf[:need]
+
+
 @dataclass(frozen=True)
 class BitEvent:
     """One provisionally decoded bit, stamped with its decode latency.
@@ -176,6 +197,7 @@ class StreamingReceiver:
         )
         self._y = np.empty(0)
         self._times = np.empty(0)
+        self._y_acc, self._times_acc = _Growing(), _Growing()
         # Online state.
         self._expected_frames: Optional[float] = None
         if expected_bit_period_s is not None:
@@ -187,6 +209,7 @@ class StreamingReceiver:
         self._kernel_len = 0
         self._min_sep = 1
         self._resp = np.empty(0)
+        self._resp_acc = _Growing()
         self._resp_min = np.inf
         self._resp_max = -np.inf
         self._scan_upto = 0
@@ -254,8 +277,8 @@ class StreamingReceiver:
         """
         if y_new.size == 0:
             return []
-        self._y = np.concatenate([self._y, y_new])
-        self._times = np.concatenate([self._times, t_new])
+        self._y = self._y_acc.extend(y_new)
+        self._times = self._times_acc.extend(t_new)
         if not self.online:
             return []
         return self._advance(now_s)
@@ -315,7 +338,7 @@ class StreamingReceiver:
         self._conv_fed = self._y.size
         resp_new = self._conv.push(backlog)
         if resp_new.size:
-            self._resp = np.concatenate([self._resp, resp_new])
+            self._resp = self._resp_acc.extend(resp_new)
             self._resp_min = min(self._resp_min, float(resp_new.min()))
             self._resp_max = max(self._resp_max, float(resp_new.max()))
         new_starts = self._detect_starts()
@@ -475,6 +498,7 @@ class StreamingKeystrokeDetector:
         self._window_s = window / meta.sample_rate
         self._energy = np.empty(0)
         self._times = np.empty(0)
+        self._energy_acc, self._times_acc = _Growing(), _Growing()
         self._recent: deque = deque(maxlen=rolling_windows)
         self._power_sum = 0.0  # running sum of |x|^2 for RMS recovery
         self._n_samples = 0
@@ -524,8 +548,8 @@ class StreamingKeystrokeDetector:
         """
         if energy.size == 0:
             return []
-        self._energy = np.concatenate([self._energy, energy])
-        self._times = np.concatenate([self._times, times])
+        self._energy = self._energy_acc.extend(energy)
+        self._times = self._times_acc.extend(times)
         if not self.online:
             return []
         return self._advance(energy, times, now_s)

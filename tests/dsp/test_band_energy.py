@@ -11,7 +11,6 @@ rows split into any number of parts and readers, union-of-positions
 any block size.
 """
 
-import importlib
 from unittest import mock
 
 import numpy as np
@@ -19,14 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.dsp.stft as stft_mod
 from repro.dsp.stft import band_energy, frame_stack, stft
 from repro.dsp.windows import get_window
 from repro.stream.demod import StreamingSTFT, advance_envelopes
 
 FS = 1e4
-
-#: The module itself: ``repro.dsp.stft`` as an attribute is the function.
-stft_mod = importlib.import_module("repro.dsp.stft")
 
 
 def _input(seed, n, complex_input):

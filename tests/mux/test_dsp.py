@@ -6,16 +6,13 @@ envelope a lone receiver's ``push_samples`` would - for any stream mix,
 any tick chunking, and any FFT row-block layout.
 """
 
-import importlib
-
 import numpy as np
 import pytest
 
+import repro.dsp.stft as stft_mod
 from repro.mux.dsp import MuxStream, group_streams, tick_group
 
 from .conftest import make_capture, make_receiver, make_source
-
-stft_mod = importlib.import_module("repro.dsp.stft")
 
 
 def _per_stream_reference(capture, pieces, online=False, vrm_hz=5_000.0):

@@ -8,8 +8,10 @@ from repro.mux.scheduler import StreamMultiplexer
 
 class TestParser:
     def test_list_command(self):
-        args = build_parser().parse_args(["list"])
-        assert args.command == "list"
+        args = build_parser().parse_args(["run", "--list"])
+        assert args.command == "run"
+        assert args.list
+        assert args.ids == []
 
     def test_run_command_with_options(self):
         args = build_parser().parse_args(
@@ -19,10 +21,19 @@ class TestParser:
         assert args.full
         assert args.seed == 3
 
-    def test_send_defaults(self):
-        args = build_parser().parse_args(["send", "hello"])
-        assert args.machine == "Inspiron"
-        assert args.profile == "tiny"
+    def test_run_seed_defaults_per_id(self):
+        args = build_parser().parse_args(["run", "clockmod-fsk"])
+        assert args.seed is None
+
+    def test_exactly_five_verbs(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--help"])
+        assert "{run,sweep,stream,regress,lint}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("verb", ["list", "send", "keylog", "mux", "scenario"])
+    def test_retired_verbs_rejected(self, verb):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([verb, "x"])
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -31,21 +42,58 @@ class TestParser:
 
 class TestCommands:
     def test_list_prints_experiments(self, capsys):
-        assert main(["list"]) == 0
+        assert main(["run", "--list"]) == 0
         out = capsys.readouterr().out
         assert "table2" in out
         assert "fig9" in out
-
-    def test_send_roundtrip(self, capsys):
-        assert main(["send", "ok", "--seed", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "received: 'ok'" in out
+        # Scenario-only names follow, with their titles; the three that
+        # are also experiment ids are listed once.
+        assert "ichannels-throttle" in out
+        assert "clockmod-fsk" in out
+        assert out.count("table2") == 1
 
     def test_keylog_reports_detection(self, capsys):
-        assert main(["keylog", "abc abc", "--seed", "2"]) == 0
+        assert main(["run", "keylog"]) == 0
         out = capsys.readouterr().out
-        assert "keystroke at" in out
-        assert "TPR=" in out
+        assert "== keylog:" in out
+        assert "record near-field" in out
+        assert "tpr=0.947368421;fpr=0.052631579;detected=19" in out
+        assert "seed 2;" in out
+
+    def test_run_scenario_prints_digest_and_gauges(self, capsys):
+        assert main(["run", "clockmod-fsk"]) == 0
+        out = capsys.readouterr().out
+        assert "record clockmod-fsk" in out
+        assert "859e7da8e53c054f" in out
+        lines = {tuple(line.split()) for line in out.splitlines()}
+        assert ("receiver.fsk_contrast_db", "26.1556") in lines
+        assert ("channel.transmitted", "32") in lines
+        assert "seed 11;" in out
+
+    def test_run_scenario_seed_override(self, capsys):
+        assert main(["run", "ichannels-throttle", "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "seed 3;" in out
+        assert "aea656c072283c92" not in out  # the seed-7 digest
+
+    def test_run_scenario_with_execution_flags(self, capsys, tmp_path):
+        import json
+
+        trace = tmp_path / "t.jsonl"
+        report = tmp_path / "r.md"
+        argv = [
+            "run", "ichannels-throttle", "--jobs", "1", "--no-cache",
+            "--trace", str(trace), "--output", str(report),
+        ]
+        assert main(argv) == 0
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert any(e.get("name") == "scenario" for e in events)
+        assert "ichannels-throttle" in report.read_text()
+        manifest = json.loads(
+            (tmp_path / "ichannels-throttle.manifest.json").read_text()
+        )
+        assert manifest["seed"] == 7
+        assert manifest["metrics"]["channel.ber"] == 0
 
     def test_run_single_experiment(self, capsys):
         assert main(["run", "fig4", "--seed", "1"]) == 0
@@ -53,9 +101,26 @@ class TestCommands:
         assert "fig4" in out
         assert "finished in" in out
 
-    def test_run_unknown_experiment_raises(self):
-        with pytest.raises(KeyError):
-            main(["run", "table99"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "table99"],
+            ["run", "table2", "table99"],
+            ["run"],
+            ["run", "fig4", "--jobs", "-1"],
+            ["run", "clockmod-fsk", "--profile", "tiny"],
+        ],
+    )
+    def test_run_bad_arguments_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_cache_dir_must_be_a_directory(self, capsys, tmp_path):
+        path = tmp_path / "file"
+        path.write_text("")
+        for verb in (["run", "fig4"], ["sweep", "receiver-grid", "--plan"]):
+            assert main([*verb, "--cache-dir", str(path)]) == 2
+            assert "not a directory" in capsys.readouterr().err
 
     def test_run_with_report_output(self, capsys, tmp_path):
         path = tmp_path / "out.md"
@@ -99,22 +164,32 @@ class TestCommands:
 
 class TestStreamCommand:
     def test_parser_defaults(self):
-        args = build_parser().parse_args(["stream", "hi"])
-        assert args.chunk_size == 4096
-        assert args.buffer_capacity == 64
-        assert args.policy == "block"
-        assert args.service_rate is None
+        # One name and one default per flag, in TEXT and fleet mode alike.
+        for argv in (["stream", "hi"], ["stream", "--fleet", "keylog=1"]):
+            args = build_parser().parse_args(argv)
+            assert args.chunk_size == 4096
+            assert args.capacity == 64
+            assert args.policy == "block"
+            assert args.jitter == 0.1
+            assert args.service_rate is None
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["stream", "hi", "--chunk-size", "0"],
             ["stream", "hi", "--chunk-size", "-5"],
-            ["stream", "hi", "--buffer-capacity", "0"],
-            ["stream", "hi", "--buffer-capacity", "-1"],
+            ["stream", "hi", "--capacity", "0"],
+            ["stream", "hi", "--capacity", "-1"],
             ["stream", "hi", "--jitter", "-0.1"],
             ["stream", "hi", "--service-rate", "0"],
-            ["keylog", "hi", "--stream", "--chunk-size", "0"],
+            ["stream", "hi", "--jitter", "nan"],
+            # TEXT and --fleet are exclusive, and one is required.
+            ["stream"],
+            ["stream", "hi", "--fleet", "keylog=1"],
+            # A flag of the other mode is refused, not ignored.
+            ["stream", "hi", "--check"],
+            ["stream", "--fleet", "keylog=1", "--seed", "0"],
+            ["stream", "--fleet", "keylog=1", "--service-rate", "8000"],
         ],
     )
     def test_invalid_arguments_exit_2(self, capsys, argv):
@@ -150,7 +225,7 @@ class TestStreamCommand:
         # a failure).
         argv = [
             "stream", "Hi", "--seed", "1", "--chunk-size", "2048",
-            "--policy", "drop-oldest", "--buffer-capacity", "4",
+            "--policy", "drop-oldest", "--capacity", "4",
             "--service-rate", "8000",
         ]
         with pytest.warns(RuntimeWarning):
@@ -158,14 +233,10 @@ class TestStreamCommand:
         out = capsys.readouterr().out
         assert "lossy stream" in out
 
-    def test_keylog_stream_reports_latency(self, capsys):
-        assert main(["keylog", "abc abc", "--seed", "2", "--stream"]) == 0
-        out = capsys.readouterr().out
-        assert "keystroke at" in out
-        assert "detection latency" in out
-
 
 class TestMuxCommand:
+    """``stream --fleet``: the streaming multiplexer."""
+
     @pytest.fixture(autouse=True)
     def bounded_ticks(self, monkeypatch):
         # A queue whose budget never grows is never drained; bound the
@@ -194,8 +265,49 @@ class TestMuxCommand:
         ],
     )
     def test_out_of_range_arguments_exit_2(self, capsys, extra):
-        assert main(["mux", "--fleet", "stream-covert=2", *extra]) == 2
+        argv = ["stream", "--fleet", "stream-covert=2", *extra]
+        assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        # fig7 is registered but renders no capture to stream.
+        "entry", ["keylog=0", "keylog=x", "=2", "nosuch=1", "fig7=1"]
+    )
+    def test_bad_fleet_entry_exits_2(self, capsys, entry):
+        assert main(["stream", "--fleet", entry]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_mixed_fleet_check_and_json(self, capsys, tmp_path):
+        import json
+
+        path = tmp_path / "fleet.json"
+        argv = [
+            "stream", "--fleet", "stream-covert=2", "--fleet", "keylog",
+            "--fleet", "clockmod-fsk=1", "--check", "--json", str(path),
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "multiplexed 4 stream(s)" in out
+        assert "check OK: all 4 finalised decode(s)" in out
+        digests = json.loads(path.read_text())["digests"]
+        assert sorted(digests) == [
+            "clockmod-fsk/00003", "keylog/00002",
+            "stream-covert/00000", "stream-covert/00001",
+        ]
+        # The same digests as a mux with its own defaults (512-sample
+        # chunks, 0.05 jitter, drop-oldest, two ticks of capacity).
+        assert digests["clockmod-fsk/00003"] == "fe86f8690ae88583"
+        assert digests["keylog/00002"] == "5c517b56f1837919"
+        assert digests["stream-covert/00000"] == "6242102353f79e87"
+
+    def test_lossy_fleet_fails_check(self, capsys):
+        argv = [
+            "stream", "--fleet", "stream-covert=1", "--policy",
+            "drop-oldest", "--capacity", "1", "--service-rate-factor",
+            "0.05", "--check",
+        ]
+        assert main(argv) == 2
+        assert "--check needs a drop-free run" in capsys.readouterr().err
 
 
 class TestRegressCommand:
