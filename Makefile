@@ -6,12 +6,11 @@ test:
 	$(PY) -m pytest -x -q
 
 # Static-analysis gate, three layers:
-#   1. repro.lint  - repo-specific determinism and cache-coherence
-#                    rules (DET/CACHE/CONC/TRACE/FLOAT, see DESIGN.md
-#                    sections 13+17) over src/repro, plus a narrowed
-#                    determinism pass (DET001/DET002) over tests/ and
-#                    benchmarks/ - the repro-scoped rules do not apply
-#                    there
+#   1. repro.lint  - repo-specific determinism and store-write rules
+#                    (DET/CONC/FLOAT, see DESIGN.md sections 13+17)
+#                    over src/repro, plus a narrowed determinism pass
+#                    (DET001/DET002) over tests/ and benchmarks/ - the
+#                    repro-scoped rules do not apply there
 #   2. ruff        - general pyflakes/pycodestyle errors + format check
 #   3. mypy        - types, strict on repro.exec / repro.sweep
 # ruff and mypy are optional locally (install with `pip install -e

@@ -28,9 +28,9 @@ Subcommands
     ``baselines/`` - the signal-quality regression gate.
 ``lint``
     Static determinism & cache-coherence analysis (``repro.lint``):
-    seed provenance, wall-clock containment, cache-schema drift, raw
-    store writes, span discipline, float equality.  Non-zero exit on
-    any unsuppressed, unbaselined finding; part of ``make lint``.
+    seed provenance, wall-clock containment, raw store writes, float
+    equality.  Non-zero exit on any unsuppressed, unbaselined finding;
+    part of ``make lint``.
 
 Bad arguments exit 2 with an ``error: ...`` line on stderr.
 """

@@ -1,9 +1,10 @@
 """``repro lint`` subcommand implementation.
 
 Exit codes: 0 clean (all findings suppressed/baselined), 1 active
-findings or parse errors, 2 an unknown ``--select`` code, 0 after
-``--write-baseline`` / ``--update-schema`` (they are maintenance
-actions, not gates).
+findings or parse errors, 2 a bad argument (an unknown ``--select``
+code, a root without the package directory, ``--jobs`` below 1) with
+an ``error: ...`` line on stderr, 0 after ``--write-baseline`` (a
+maintenance action, not a gate).
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ from dataclasses import replace
 from .baseline import write_baseline
 from .cache import LintCache
 from .config import LintConfig, load_config
-from .engine import (
-    rule_catalog,
-    run_lint,
-    select_rules,
-    write_schema_manifest,
-)
+from .engine import rule_catalog, run_lint, select_rules
 from .rules import all_rules
 
 
@@ -38,8 +34,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "paths",
         nargs="*",
         metavar="PATH",
-        help="restrict per-file rules to these root-relative prefixes "
-        "(e.g. repro/dsp); project rules always see the whole tree",
+        help="restrict the rules to these root-relative prefixes "
+        "(e.g. repro/dsp)",
     )
     parser.add_argument(
         "--root",
@@ -82,12 +78,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--write-baseline",
         action="store_true",
         help="accept the current active findings into the baseline",
-    )
-    parser.add_argument(
-        "--update-schema",
-        action="store_true",
-        help="regenerate the CACHE001 chain-schema manifest after an "
-        "intentional, CHAIN_SCHEMA-bumped dataclass change",
     )
     parser.add_argument(
         "--list-rules",
@@ -148,10 +138,6 @@ def cmd_lint(args, config: Optional[LintConfig] = None) -> int:
         config = load_config(root)
     if args.package:
         config = replace(config, package=args.package)
-    if args.update_schema:
-        path = write_schema_manifest(root, config)
-        print(f"chain-schema manifest written to {path}")
-        return 0
     baseline_path = args.baseline
     if args.no_baseline:
         baseline_path = False
@@ -162,19 +148,20 @@ def cmd_lint(args, config: Optional[LintConfig] = None) -> int:
         )
         cache = LintCache(cache_dir)
     try:
-        rules = select_rules(all_rules(), args.select)
+        if args.jobs is not None and args.jobs < 1:
+            raise ValueError(f"--jobs must be positive, got {args.jobs}")
+        report = run_lint(
+            root,
+            config,
+            rules=select_rules(all_rules(), args.select),
+            paths=args.paths or None,
+            baseline_path=baseline_path,
+            cache=cache,
+            jobs=args.jobs,
+        )
     except ValueError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run_lint(
-        root,
-        config,
-        rules=rules,
-        paths=args.paths or None,
-        baseline_path=baseline_path,
-        cache=cache,
-        jobs=args.jobs,
-    )
     if args.write_baseline:
         path = (
             Path(args.baseline)

@@ -34,24 +34,6 @@ class LintConfig:
     #: ``generated_unix`` for humans; it is never fingerprinted.
     wallclock_allowlist: Tuple[str, ...] = ("repro/obs/manifest.py",)
 
-    # -- CACHE001: cache-schema drift --------------------------------------
-    #: Module and constant naming the chain schema tag.
-    schema_const_module: str = "repro/exec/cache.py"
-    schema_const_name: str = "CHAIN_SCHEMA"
-    #: Committed manifest of (chain schema tag, fingerprinted dataclass
-    #: fields); regenerated with ``repro lint --update-schema``.
-    schema_manifest: str = "repro/lint/chain_schema.json"
-    #: Seed dataclasses whose instances reach ``fingerprint()`` as chain
-    #: key components; the rule expands this set transitively through
-    #: dataclass-typed fields.
-    tracked_dataclasses: Tuple[Tuple[str, str], ...] = (
-        ("repro/params.py", "SimProfile"),
-        ("repro/systems/laptops.py", "Machine"),
-        ("repro/em/environment.py", "Scenario"),
-        ("repro/countermeasures.py", "VrmDithering"),
-        ("repro/scenario/registry.py", "ScenarioSpec"),
-    )
-
     # -- CONC001: raw writes under locked stores ---------------------------
     #: Modules that own the locked/atomic write discipline; raw writes
     #: to cache/scratch/store paths anywhere else are findings.
@@ -63,13 +45,6 @@ class LintConfig:
     )
     #: Identifier pattern marking a path expression as cache/store-like.
     guarded_path_pattern: str = r"cache|scratch|store|result"
-
-    # -- TRACE001: span discipline -----------------------------------------
-    #: Module defining the span-name registry.
-    trace_module: str = "repro/obs/trace.py"
-    span_registry_name: str = "REGISTERED_SPANS"
-    #: Package prefix whose modules may touch Tracer internals.
-    trace_internal_prefix: str = "repro/obs/"
 
     # -- FLOAT001: float equality ------------------------------------------
     #: Path prefixes where ``==``/``!=`` on float expressions is flagged.

@@ -8,7 +8,6 @@ linting process.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -81,11 +80,19 @@ class LintReport:
 def read_sources(
     root, config: LintConfig = DEFAULT_CONFIG
 ) -> "tuple[Dict[str, str], List[str]]":
-    """Read (without parsing) every package module under ``root``."""
+    """Read (without parsing) every package module under ``root``.
+
+    Raises :class:`ValueError` when ``root`` has no ``config.package``
+    directory, so a wrong root cannot lint zero files and pass.
+    """
     root = Path(root)
     sources: Dict[str, str] = {}
     errors: List[str] = []
     package_dir = root / config.package
+    if not package_dir.is_dir():
+        raise ValueError(
+            f"no {config.package!r} package directory under {root}"
+        )
     for path in sorted(package_dir.rglob("*.py")):
         relpath = path.relative_to(root).as_posix()
         if config.is_excluded(relpath):
@@ -107,7 +114,6 @@ def _parse_task(item: "tuple[str, str]") -> "tuple[str, object]":
 
 
 def parse_sources(
-    root,
     sources: Dict[str, str],
     *,
     cache: Optional[LintCache] = None,
@@ -120,7 +126,7 @@ def parse_sources(
     :func:`repro.exec.choose_executor` - serial on a single CPU, a
     process pool when the host and file count justify the fork cost.
     """
-    project = Project(root=Path(root))
+    project = Project()
     errors: List[str] = []
     pending: List["tuple[str, str]"] = []
     for relpath, source in sources.items():
@@ -159,19 +165,6 @@ def parse_sources(
     return project, errors
 
 
-def load_project(
-    root,
-    config: LintConfig = DEFAULT_CONFIG,
-    *,
-    cache: Optional[LintCache] = None,
-    jobs: Optional[int] = None,
-) -> "tuple[Project, List[str]]":
-    """Parse every package module under ``root``; returns parse errors too."""
-    sources, read_errors = read_sources(root, config)
-    project, parse_errors = parse_sources(root, sources, cache=cache, jobs=jobs)
-    return project, read_errors + parse_errors
-
-
 def select_rules(
     rules: Sequence[Rule], select: Optional[Sequence[str]]
 ) -> List[Rule]:
@@ -207,11 +200,11 @@ def run_lint(
     """Lint the tree under ``root`` and return the report.
 
     ``select`` restricts to specific rule codes (an unknown code raises
-    :class:`ValueError` naming the known ones); ``paths`` restricts
-    *per-file* rules to files whose relpath starts with one of the
-    given prefixes (project-level rules always see the whole tree -
-    schema drift is not a per-file property).  ``baseline_path``
-    overrides the config default; pass ``False`` to disable baselining.
+    :class:`ValueError` naming the known ones); ``paths`` restricts the
+    rules to files whose relpath starts with one of the given prefixes.
+    A ``root`` without the package directory raises :class:`ValueError`.
+    ``baseline_path`` overrides the config default; pass ``False`` to
+    disable baselining.
 
     ``cache`` enables the incremental layers (:mod:`repro.lint.cache`):
     a fully warm run skips parsing and rules entirely and only
@@ -242,9 +235,7 @@ def run_lint(
                 files_checked=int(payload["files_checked"]),
                 parse_errors=list(payload["parse_errors"]),
             )
-    project, parse_errors = parse_sources(
-        root, sources, cache=cache, jobs=jobs
-    )
+    project, parse_errors = parse_sources(sources, cache=cache, jobs=jobs)
     errors = read_errors + parse_errors
 
     findings: List[Finding] = []
@@ -259,14 +250,12 @@ def run_lint(
                 continue
             fresh: List[Finding] = []
             for rule in active_rules:
-                fresh.extend(rule.check_file(sf, project, config))
+                fresh.extend(rule.check_file(sf, config))
             cache.store_file_findings(fkey, fresh)
             findings.extend(fresh)
         else:
             for rule in active_rules:
-                findings.extend(rule.check_file(sf, project, config))
-    for rule in active_rules:
-        findings.extend(rule.check_project(project, config))
+                findings.extend(rule.check_file(sf, config))
 
     _apply_suppressions(project, findings)
     findings.sort(key=lambda f: f.sort_key())
@@ -313,14 +302,3 @@ def rule_catalog(rules: Optional[Sequence[Rule]] = None) -> str:
         lines.append(f"{rule.code}  {rule.name}: {rule.description}")
     return "\n".join(lines)
 
-
-def write_schema_manifest(root, config: LintConfig = DEFAULT_CONFIG) -> Path:
-    """Regenerate the committed chain-schema manifest (CACHE001)."""
-    from .rules.cache_schema import compute_schema_manifest
-
-    project, _ = load_project(root, config)
-    manifest = compute_schema_manifest(project, config)
-    path = Path(root) / config.schema_manifest
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path

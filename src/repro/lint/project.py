@@ -3,13 +3,9 @@
 :class:`SourceFile` wraps one module: its AST, raw lines, and the
 per-line suppression map (``# lint: disable=CODE[,CODE]``; a bare
 ``# lint: disable`` suppresses every rule on that line).
-
-:class:`Project` wraps the whole walked tree and adds the cross-module
-helpers the project-level rules need: static import resolution (which
-file does ``from ..em.noise import NoiseEnvironment`` land in?) and
-dataclass field extraction, both purely syntactic - the linted tree is
-never imported, so fixture trees with deliberate violations cannot
-perturb the linting process.
+:class:`Project` is the walked tree, keyed by root-relative path.  Both
+are purely syntactic - the linted tree is never imported, so fixture
+trees with deliberate violations cannot perturb the linting process.
 """
 
 from __future__ import annotations
@@ -17,8 +13,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 _SUPPRESS_RE = re.compile(
     r"#\s*lint:\s*disable(?:=(?P<codes>[A-Za-z0-9_,\s]+))?"
@@ -78,207 +73,11 @@ class SourceFile:
         return not codes or rule.upper() in codes
 
 
-def module_relpath(
-    current: str, module: Optional[str], level: int
-) -> Optional[str]:
-    """Root-relative path of an imported project module, else None.
-
-    ``current`` is the importing file's relpath; ``module``/``level``
-    come straight from :class:`ast.ImportFrom`.  Only the textual
-    resolution is performed - the caller decides whether the path
-    exists in the walked tree.
-    """
-    if level == 0:
-        if module is None:
-            return None
-        return module.replace(".", "/") + ".py"
-    parts = current.split("/")[:-1]  # drop the file name
-    hops = level - 1
-    if hops > len(parts):
-        return None
-    base = parts[: len(parts) - hops] if hops else parts
-    if module:
-        base = base + module.split(".")
-    return "/".join(base) + ".py"
-
-
-def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        name = None
-        if isinstance(target, ast.Name):
-            name = target.id
-        elif isinstance(target, ast.Attribute):
-            name = target.attr
-        if name == "dataclass":
-            return True
-    return False
-
-
-def _annotation_names(annotation: ast.AST) -> List[str]:
-    """All bare identifiers mentioned in a field annotation."""
-    names: List[str] = []
-    for node in ast.walk(annotation):
-        if isinstance(node, ast.Name):
-            names.append(node.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            # String annotations: pull identifier-looking tokens.
-            names.extend(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", node.value))
-    return names
-
-
-@dataclass
-class DataclassInfo:
-    """Statically extracted shape of one dataclass definition."""
-
-    relpath: str
-    name: str
-    lineno: int
-    fields: List[str]
-    field_annotations: Dict[str, List[str]]  # field -> identifiers
-
-
 @dataclass
 class Project:
-    """The walked tree plus cross-module static-analysis helpers."""
+    """Every parsed module of the walked tree."""
 
-    root: Path
     files: Dict[str, SourceFile] = field(default_factory=dict)
 
     def get(self, relpath: str) -> Optional[SourceFile]:
         return self.files.get(relpath)
-
-    # -- imports -----------------------------------------------------------
-
-    def imported_names(self, sf: SourceFile) -> Dict[str, Tuple[str, str]]:
-        """Names bound by ``from X import Y`` -> (module relpath, source name).
-
-        Only project-resolvable modules are returned; external imports
-        (numpy, stdlib) are dropped.
-        """
-        resolved: Dict[str, Tuple[str, str]] = {}
-        for node in ast.walk(sf.tree):
-            if not isinstance(node, ast.ImportFrom):
-                continue
-            target = module_relpath(sf.relpath, node.module, node.level)
-            if target is None or target not in self.files:
-                continue
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                resolved[alias.asname or alias.name] = (target, alias.name)
-        return resolved
-
-    # -- dataclasses -------------------------------------------------------
-
-    def dataclasses_in(self, relpath: str) -> Dict[str, DataclassInfo]:
-        sf = self.get(relpath)
-        if sf is None:
-            return {}
-        found: Dict[str, DataclassInfo] = {}
-        for node in ast.walk(sf.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not _is_dataclass_decorated(node):
-                continue
-            fields: List[str] = []
-            annotations: Dict[str, List[str]] = {}
-            for stmt in node.body:
-                if not isinstance(stmt, ast.AnnAssign):
-                    continue
-                if not isinstance(stmt.target, ast.Name):
-                    continue
-                names = _annotation_names(stmt.annotation)
-                if "ClassVar" in names:
-                    continue  # not an instance field; never fingerprinted
-                fields.append(stmt.target.id)
-                annotations[stmt.target.id] = names
-            found[node.name] = DataclassInfo(
-                relpath=relpath,
-                name=node.name,
-                lineno=node.lineno,
-                fields=fields,
-                field_annotations=annotations,
-            )
-        return found
-
-    def resolve_dataclass(
-        self, relpath: str, name: str
-    ) -> Optional[DataclassInfo]:
-        """Find dataclass ``name`` visible from module ``relpath``.
-
-        Looks in the module itself first, then follows a matching
-        ``from ... import name`` to the defining project module.
-        """
-        local = self.dataclasses_in(relpath)
-        if name in local:
-            return local[name]
-        sf = self.get(relpath)
-        if sf is None:
-            return None
-        imported = self.imported_names(sf)
-        if name in imported:
-            target, source_name = imported[name]
-            return self.dataclasses_in(target).get(source_name)
-        return None
-
-    def expand_dataclass_graph(
-        self, seeds: List[Tuple[str, str]]
-    ) -> Dict[str, DataclassInfo]:
-        """Transitive closure of dataclasses reachable via typed fields.
-
-        Starting from (module relpath, class name) seeds, follow every
-        field annotation identifier that resolves to another project
-        dataclass.  The result keys are ``"relpath:ClassName"``.
-        """
-        closure: Dict[str, DataclassInfo] = {}
-        queue = list(seeds)
-        while queue:
-            relpath, name = queue.pop()
-            info = self.resolve_dataclass(relpath, name)
-            if info is None:
-                continue
-            key = f"{info.relpath}:{info.name}"
-            if key in closure:
-                continue
-            closure[key] = info
-            for names in info.field_annotations.values():
-                for candidate in names:
-                    nested = self.resolve_dataclass(info.relpath, candidate)
-                    if nested is not None:
-                        queue.append((nested.relpath, nested.name))
-        return closure
-
-    # -- module constants --------------------------------------------------
-
-    def module_constant(self, relpath: str, name: str):
-        """Value of a literal module-level assignment, else None."""
-        sf = self.get(relpath)
-        if sf is None or not isinstance(sf.tree, ast.Module):
-            return None
-        for stmt in sf.tree.body:
-            targets: List[ast.expr] = []
-            value: Optional[ast.expr] = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            for target in targets:
-                if isinstance(target, ast.Name) and target.id == name:
-                    try:
-                        return ast.literal_eval(value)
-                    except (ValueError, TypeError):
-                        return _collect_string_literals(value)
-        return None
-
-
-def _collect_string_literals(node: Optional[ast.expr]) -> Optional[Set[str]]:
-    """String constants inside e.g. ``frozenset({...})`` expressions."""
-    if node is None:
-        return None
-    literals = {
-        sub.value
-        for sub in ast.walk(node)
-        if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
-    }
-    return literals or None

@@ -5,20 +5,16 @@ from __future__ import annotations
 from typing import Dict, List
 
 from .base import Rule
-from .cache_schema import CacheSchemaRule
 from .concurrency import RawStoreWriteRule
 from .determinism import UnseededRandomRule, WallClockRule
 from .floats import FloatEqualityRule
-from .tracing import SpanDisciplineRule
 
 __all__ = [
     "Rule",
-    "CacheSchemaRule",
     "RawStoreWriteRule",
     "UnseededRandomRule",
     "WallClockRule",
     "FloatEqualityRule",
-    "SpanDisciplineRule",
     "all_rules",
     "rules_by_code",
 ]
@@ -29,9 +25,7 @@ def all_rules() -> List[Rule]:
     return [
         UnseededRandomRule(),
         WallClockRule(),
-        CacheSchemaRule(),
         RawStoreWriteRule(),
-        SpanDisciplineRule(),
         FloatEqualityRule(),
     ]
 

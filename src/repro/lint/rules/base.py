@@ -7,29 +7,17 @@ from typing import Dict, List, Optional
 
 from ..config import LintConfig
 from ..findings import Finding
-from ..project import Project, SourceFile
+from ..project import SourceFile
 
 
 class Rule:
-    """One named contract check.
-
-    ``check_file`` runs once per module; ``check_project`` runs once per
-    lint invocation with the whole tree available (used by the
-    cross-module rules).  Either may be a no-op.
-    """
+    """One named contract check, run once per module."""
 
     code: str = "LINT000"
     name: str = "unnamed"
     description: str = ""
 
-    def check_file(
-        self, sf: SourceFile, project: Project, config: LintConfig
-    ) -> List[Finding]:
-        return []
-
-    def check_project(
-        self, project: Project, config: LintConfig
-    ) -> List[Finding]:
+    def check_file(self, sf: SourceFile, config: LintConfig) -> List[Finding]:
         return []
 
     # -- helpers for subclasses -------------------------------------------

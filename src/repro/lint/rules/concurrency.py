@@ -25,7 +25,7 @@ from typing import List, Optional
 
 from ..config import LintConfig
 from ..findings import Finding
-from ..project import Project, SourceFile
+from ..project import SourceFile
 from .base import (
     Rule,
     dotted_name,
@@ -62,9 +62,7 @@ class RawStoreWriteRule(Rule):
         "through the fcntl-locked / atomic-rename helpers"
     )
 
-    def check_file(
-        self, sf: SourceFile, project: Project, config: LintConfig
-    ) -> List[Finding]:
+    def check_file(self, sf: SourceFile, config: LintConfig) -> List[Finding]:
         findings: List[Finding] = []
         blessed = sf.relpath in config.raw_write_allowlist
         pattern = re.compile(config.guarded_path_pattern, re.IGNORECASE)

@@ -21,7 +21,7 @@ from typing import List
 
 from ..config import LintConfig
 from ..findings import Finding
-from ..project import Project, SourceFile
+from ..project import SourceFile
 from .base import Rule, import_aliases, resolved_call_name
 
 #: numpy.random attributes that are legitimate, explicitly-seeded
@@ -71,9 +71,7 @@ class UnseededRandomRule(Rule):
         "stdlib random calls break per-trial seed provenance"
     )
 
-    def check_file(
-        self, sf: SourceFile, project: Project, config: LintConfig
-    ) -> List[Finding]:
+    def check_file(self, sf: SourceFile, config: LintConfig) -> List[Finding]:
         findings: List[Finding] = []
         aliases = import_aliases(sf.tree)
         for node in ast.walk(sf.tree):
@@ -136,9 +134,7 @@ class WallClockRule(Rule):
         "timestamps into fingerprinted payloads"
     )
 
-    def check_file(
-        self, sf: SourceFile, project: Project, config: LintConfig
-    ) -> List[Finding]:
+    def check_file(self, sf: SourceFile, config: LintConfig) -> List[Finding]:
         if sf.relpath in config.wallclock_allowlist:
             return []
         findings: List[Finding] = []

@@ -14,7 +14,7 @@ from typing import List
 
 from ..config import LintConfig
 from ..findings import Finding
-from ..project import Project, SourceFile
+from ..project import SourceFile
 from .base import Rule, dotted_name
 
 _FLOAT_CONSTANTS = {
@@ -61,9 +61,7 @@ class FloatEqualityRule(Rule):
         "rounding-error flake waiting to happen"
     )
 
-    def check_file(
-        self, sf: SourceFile, project: Project, config: LintConfig
-    ) -> List[Finding]:
+    def check_file(self, sf: SourceFile, config: LintConfig) -> List[Finding]:
         if not any(
             sf.relpath.startswith(scope) for scope in config.float_eq_scopes
         ):

@@ -111,7 +111,9 @@ def stream_spec_from_scenario(
 ) -> StreamSpec:
     """Render a registered scenario far enough to stream it.
 
-    Components run in dependency order only until a capture resource
+    A scenario none of whose components declares a capture resource in
+    ``provides`` is refused before any component runs.  Otherwise
+    components run in dependency order only until a capture resource
     appears (the downstream receiver/scorer components - the expensive
     part of most scenarios - never run); teardown still covers every
     component whose setup ran.
@@ -120,6 +122,12 @@ def stream_spec_from_scenario(
     if seed is None:
         seed = info.spec.default_seed
     components = build_components(name, seed=seed, quick=quick)
+    if not any(
+        key in component.provides
+        for component in components
+        for key in _CAPTURE_KEYS
+    ):
+        raise _unstreamable(name)
     order = resolve_order(components)
     ctx = ScenarioContext(name, seed=seed, quick=quick)
     entered = []
@@ -187,8 +195,12 @@ def _spec_from_resources(
             ),
             detector_config=experiment.detector_config,
         )
-    raise ValueError(
-        f"scenario {name!r} produced none of {_CAPTURE_KEYS}; it cannot "
+    raise _unstreamable(name)
+
+
+def _unstreamable(name: str) -> ValueError:
+    return ValueError(
+        f"scenario {name!r} provides none of {_CAPTURE_KEYS}; it cannot "
         "be streamed"
     )
 

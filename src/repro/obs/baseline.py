@@ -106,64 +106,6 @@ def _keylog_quick_fox() -> Dict[str, float]:
         return flatten(registry.snapshot())
 
 
-def _stream_covert_tiny() -> Dict[str, float]:
-    """The reference link replayed through the streaming receiver.
-
-    Runs an intentionally slow service rate under drop-oldest, so the
-    recorded numbers pin the whole streaming surface: chunk/lag/drop
-    accounting, degradation shedding, online event flow, and the
-    divergence of the lossy finalised decode from the clean batch bits.
-    """
-    from ..core.align import align_bits
-    from ..covert.link import CovertLink
-    from ..params import TINY
-    from ..stream import CaptureChunkSource, StreamingReceiver, StreamRunner
-    from ..systems.laptops import DELL_INSPIRON
-
-    payload = np.random.default_rng(99).integers(0, 2, size=100)
-    link = CovertLink(machine=DELL_INSPIRON, profile=TINY, seed=5)
-    with metrics_scope() as registry:
-        batch = link.run(payload)
-        bit_period = link.transmitter(
-            np.random.default_rng(link.seed)
-        ).nominal_bit_duration_s()
-        source = CaptureChunkSource(
-            batch.capture, chunk_size=4096, jitter_rel=0.05
-        )
-        receiver = StreamingReceiver(
-            source.meta,
-            link.vrm_frequency_hz,
-            expected_bit_period_s=bit_period,
-            config=link.decoder_config,
-            frame_format=link.frame_format,
-        )
-        runner = StreamRunner(
-            source,
-            receiver,
-            buffer_capacity=8,
-            policy="drop-oldest",
-            service_rate_sps=batch.capture.sample_rate * 0.4,
-        )
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            run = runner.run()
-        final = receiver.finalize()
-        stats = run.stats
-        registry.gauge("stream.run.chunks_dropped").set(stats.chunks_dropped)
-        registry.gauge("stream.run.chunks_shed").set(stats.chunks_shed)
-        registry.gauge("stream.run.gap_samples").set(stats.gap_samples)
-        registry.gauge("stream.run.max_lag_s").set(stats.max_lag_s)
-        registry.gauge("stream.run.synchronized").set(
-            float(receiver.synchronized)
-        )
-        registry.gauge("stream.run.lossy_ber").set(
-            align_bits(batch.tx_bits, final.bits).ber
-        )
-        return flatten(registry.snapshot())
-
-
 def _mux_mixed_tiny() -> Dict[str, float]:
     """A tiny mixed fleet through the streaming multiplexer.
 
@@ -284,6 +226,18 @@ def _scenario_ichannels_tiny() -> Dict[str, float]:
 def _scenario_clockmod_tiny() -> Dict[str, float]:
     """Clock-modulation FSK covert channel (arXiv 2404.05823)."""
     return _scenario_registry_run("clockmod-fsk", seed=11)
+
+
+def _stream_covert_tiny() -> Dict[str, float]:
+    """The reference link replayed through the streaming receiver.
+
+    The ``stream-covert`` scenario runs an intentionally slow service
+    rate under drop-oldest, so the recorded numbers pin the whole
+    streaming surface: chunk/lag/drop accounting, degradation shedding,
+    online event flow, and the divergence of the lossy finalised decode
+    from the clean batch bits.
+    """
+    return _scenario_registry_run("stream-covert", seed=5)
 
 
 SCENARIOS: Dict[str, Callable[[], Dict[str, float]]] = {

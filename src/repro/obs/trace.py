@@ -49,11 +49,12 @@ _tracer: ContextVar[Optional["Tracer"]] = ContextVar(
 #: Hex digits kept when abbreviating a 64-char cache key for an event.
 KEY_PREFIX_LEN = 12
 
-#: Every span name the code base may open.  ``repro.lint`` rule TRACE001
-#: checks each ``span("...")`` call site against this registry, so a
-#: typo'd or ad-hoc span name is a lint error, not a silently unfilterable
-#: trace stream.  Add the name here (alphabetical) when introducing a new
-#: span kind.
+#: Every span name the code base may open.  While tracing is on,
+#: :func:`span` raises for any other name, so a typo'd or ad-hoc span
+#: name fails the first traced run instead of silently fragmenting the
+#: trace stream; ``tests/obs/test_span_conformance.py`` checks that
+#: every name here is emitted.  Add the name here (alphabetical) when
+#: introducing a new span kind.
 REGISTERED_SPANS = frozenset(
     {
         "batch.chain",
@@ -192,12 +193,19 @@ def span(
 
     ``attrs`` are attached as-is; ``lazy`` is called only when tracing
     is active (after the body runs), for attributes that are expensive
-    to compute, such as an RNG-state digest.
+    to compute, such as an RNG-state digest.  While tracing is active a
+    ``name`` outside :data:`REGISTERED_SPANS` raises :class:`ValueError`
+    before the body runs; with tracing off the name is not looked at.
     """
     tracer = _tracer.get()
     if tracer is None:
         yield
         return
+    if name not in REGISTERED_SPANS:
+        raise ValueError(
+            f"span name {name!r} is not in REGISTERED_SPANS "
+            "(repro/obs/trace.py); register it or fix the typo"
+        )
     started = time.perf_counter()
     try:
         yield

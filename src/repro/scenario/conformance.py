@@ -184,8 +184,8 @@ def check_metrics_contract(runs: ScenarioRuns) -> None:
 
 def check_trace_contract(runs: ScenarioRuns) -> None:
     """The run emits the scenario span family, every span name is
-    registered (TRACE001's runtime face), and each component appears in
-    a setup, run, and teardown component span."""
+    registered (``span()`` enforces it while tracing), and each
+    component appears in a setup, run, and teardown component span."""
     spans = [e for e in runs.events if e.get("event") == "span"]
     names = {e["name"] for e in spans}
     for required in (

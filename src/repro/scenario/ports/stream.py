@@ -1,11 +1,11 @@
 """The streaming covert receiver as a scenario.
 
-Bit-identical port of the ``stream-covert-tiny`` baseline path: the
-reference near-field link (Dell Inspiron, TINY profile, seed 5, the
+The reference near-field link (Dell Inspiron, TINY profile, the
 conftest 100-bit payload) replayed chunk-by-chunk through the
 streaming receiver under a deliberately slow drop-oldest service, so
 the scenario pins chunk/lag/drop accounting and the lossy finalised
-decode alongside the clean batch bits.
+decode alongside the clean batch bits.  The ``stream-covert-tiny``
+regression baseline records it at seed 5.
 """
 
 from __future__ import annotations

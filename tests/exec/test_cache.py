@@ -1,5 +1,7 @@
 """Tests for the content-addressed chain cache."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,11 @@ from repro.exec.cache import (
     get_chain_cache,
     reset_chain_cache,
 )
+from repro.countermeasures import VrmDithering
+from repro.em.environment import through_wall_scenario
 from repro.exec.context import execution_scope
 from repro.params import TINY, REDUCED
+from repro.scenario import get_scenario
 from repro.systems.laptops import DELL_INSPIRON, LENOVO_THINKPAD
 
 
@@ -57,6 +62,89 @@ class TestFingerprint:
         assert before == fingerprint(np.random.default_rng(3).bit_generator.state)
         rng.random()
         assert fingerprint(rng.bit_generator.state) != before
+
+
+def _keyed_dataclasses():
+    """One instance of every dataclass reachable from the chain and
+    scenario key inputs, found by walking their fields."""
+    found = {}
+    queue = [
+        TINY,
+        DELL_INSPIRON,
+        through_wall_scenario(band_center_hz=1e5),
+        VrmDithering(),
+        get_scenario("clockmod-fsk").spec,
+    ]
+    while queue:
+        obj = queue.pop()
+        if dataclasses.is_dataclass(obj):
+            found.setdefault(type(obj).__qualname__, obj)
+            queue.extend(vars(obj).values())
+        elif isinstance(obj, (list, tuple)):
+            queue.extend(obj)
+    return found
+
+
+KEYED = _keyed_dataclasses()
+
+
+def _reshaped(obj, change=None):
+    """``obj`` rebuilt as a new class with the same qualname and values,
+    its fields ``"added"`` to, ``"renamed"`` or ``"reordered"``."""
+    names = [f.name for f in dataclasses.fields(obj)]
+    values = [getattr(obj, name) for name in names]
+    if change == "added":
+        names.append("added_field")
+        values.append(0.0)
+    elif change == "renamed":
+        names[0] += "_renamed"
+    elif change == "reordered":
+        names[:2], values[:2] = names[1::-1], values[1::-1]
+    clone = dataclasses.make_dataclass(type(obj).__name__, names)
+    clone.__qualname__ = type(obj).__qualname__
+    return clone(*values)
+
+
+class TestDataclassShape:
+    """A keyed dataclass whose fields change can never fingerprint like
+    the old shape, so a stale disk-cache entry cannot be served for it
+    (no CHAIN_SCHEMA bump needed for a shape change)."""
+
+    def test_walk_reaches_every_keyed_dataclass(self):
+        assert {
+            "ImpulsiveNoise",
+            "InterruptProfile",
+            "LoopAntenna",
+            "Machine",
+            "NoiseEnvironment",
+            "PathModel",
+            "Scenario",
+            "ScenarioSpec",
+            "SimProfile",
+            "ToneInterferer",
+            "VrmDithering",
+            "Wall",
+        } <= set(KEYED)
+
+    @pytest.mark.parametrize("qualname", sorted(KEYED))
+    def test_same_shape_clone_fingerprints_alike(self, qualname):
+        obj = KEYED[qualname]
+        assert fingerprint(_reshaped(obj)) == fingerprint(obj)
+
+    @pytest.mark.parametrize(
+        "qualname,change",
+        [
+            (qualname, change)
+            for qualname in sorted(KEYED)
+            for change in ("added", "renamed", "reordered")
+            # Reordering needs two fields.
+            if change != "reordered"
+            or len(dataclasses.fields(KEYED[qualname])) > 1
+        ],
+    )
+    def test_shape_change_changes_fingerprint(self, qualname, change):
+        obj = KEYED[qualname]
+        assert fingerprint(_reshaped(obj, change)) != fingerprint(obj)
 
 
 class TestLru:

@@ -32,9 +32,6 @@ TREE = {
 
 def lint_with(root, cache, **kwargs):
     kwargs.setdefault("baseline_path", False)
-    # Scoped to the per-file determinism rules: the synthetic trees
-    # carry no chain-schema manifest, which CACHE001 rightly flags.
-    kwargs.setdefault("select", ["DET001", "DET002"])
     return run_lint(root, cache=cache, **kwargs)
 
 

@@ -1,4 +1,5 @@
-"""`repro lint` CLI surface: flags, formats, maintenance actions."""
+"""`repro lint` CLI surface: flags, formats, maintenance actions,
+bad arguments."""
 
 from __future__ import annotations
 
@@ -20,14 +21,7 @@ VIOLATION = {
     """
 }
 
-ALL_CODES = [
-    "DET001",
-    "DET002",
-    "CACHE001",
-    "CONC001",
-    "TRACE001",
-    "FLOAT001",
-]
+ALL_CODES = ["DET001", "DET002", "CONC001", "FLOAT001"]
 
 
 def test_registry_covers_the_issue_codes():
@@ -111,14 +105,32 @@ def test_write_baseline_then_green(tmp_path, capsys):
     assert "baselined" in out
 
 
-def test_update_schema_writes_manifest(tmp_path, capsys):
-    files = {
-        "repro/chain.py": "",
-        "repro/exec/cache.py": 'CHAIN_SCHEMA = "chain-v1"\n',
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--root", "{empty}"], "no 'repro' package directory"),
+        (["--root", "{missing}"], "no 'repro' package directory"),
+        (["--root", "{tree}", "--package", "nope"], "no 'nope' package"),
+        (["--root", "{tree}", "--jobs", "0"], "--jobs must be positive"),
+        (["--root", "{tree}", "--jobs", "-2"], "--jobs must be positive"),
+    ],
+    ids=["empty-root", "missing-root", "missing-package", "jobs-0", "jobs-neg"],
+)
+def test_bad_arguments_exit_2(tmp_path, capsys, argv, message):
+    dirs = {
+        "empty": tmp_path / "empty",
+        "missing": tmp_path / "missing",
+        "tree": write_tree(tmp_path / "tree", VIOLATION),
     }
-    root = write_tree(tmp_path, files)
-    assert main(["lint", "--root", str(root), "--update-schema"]) == 0
-    capsys.readouterr()
-    manifest = root / "repro/lint/chain_schema.json"
-    assert manifest.exists()
-    assert json.loads(manifest.read_text())["chain_schema"] == "chain-v1"
+    dirs["empty"].mkdir()
+    argv = [arg.format(**dirs) for arg in argv]
+    assert main(["lint", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert "files checked" not in captured.out
+
+
+def test_run_lint_rejects_a_root_without_the_package(tmp_path):
+    with pytest.raises(ValueError, match="no 'repro' package directory"):
+        run_lint(tmp_path)

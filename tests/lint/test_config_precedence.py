@@ -22,7 +22,7 @@ name = "fixture"
 [tool.repro.lint]
 wallclock_allowlist = ["repro/stamp.py"]
 float_eq_scopes = ["repro/num/"]
-tracked_dataclasses = [["repro/num/params.py", "Profile"]]
+extras = [["mode", "strict"]]
 
 [tool.other]
 unrelated = true
@@ -50,7 +50,7 @@ def test_pyproject_overrides_defaults(tmp_path):
     assert config.wallclock_allowlist == ("repro/stamp.py",)
     assert config.float_eq_scopes == ("repro/num/",)
     # Nested arrays coerce to tuples of tuples.
-    assert config.tracked_dataclasses == (("repro/num/params.py", "Profile"),)
+    assert config.extras == (("mode", "strict"),)
     # Untouched fields keep the built-in defaults.
     assert config.package == DEFAULT_CONFIG.package
     assert config.raw_write_allowlist == DEFAULT_CONFIG.raw_write_allowlist
@@ -95,6 +95,9 @@ def test_unknown_keys_are_ignored(tmp_path):
         'chain_scope = ["repro/chain.py", "repro/batch/"]\n'
         'plumbing_params = ["self", "cache"]\n'
         'key_carrier_attrs = ["keys", "trial_id"]\n'
+        'tracked_dataclasses = [["repro/params.py", "SimProfile"]]\n'
+        'schema_manifest = "repro/lint/chain_schema.json"\n'
+        'trace_module = "repro/obs/trace.py"\n'
     )
     assert load_config(root) == DEFAULT_CONFIG
 

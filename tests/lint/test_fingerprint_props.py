@@ -109,7 +109,7 @@ def test_fingerprint_survives_deletions(tmp_path, drop_footer, extra_blank):
 
 @settings(max_examples=20, deadline=None)
 @given(
-    rule=st.sampled_from(["DET001", "DET002", "CACHE001"]),
+    rule=st.sampled_from(["DET001", "DET002", "CONC001"]),
     path=st.sampled_from(["repro/a.py", "repro/b.py"]),
     pad_left=st.text(alphabet=" \t", max_size=6),
     pad_right=st.text(alphabet=" \t", max_size=6),

@@ -35,30 +35,12 @@ SEEDED_VIOLATIONS = [
         + "    return _t.time()\n",
     ),
     (
-        "CACHE001",
-        "repro/params.py",
-        lambda text: text.replace(
-            "    freq_scale: float = 1.0\n",
-            "    freq_scale: float = 1.0\n    seeded_knob: float = 0.0\n",
-            1,
-        ),
-    ),
-    (
         "CONC001",
         "repro/power/idle.py",
         lambda text: text
         + "\n\ndef _seeded_conc001(results_path):\n"
         + '    with open(results_path, "a") as fh:\n'
         + '        fh.write("x")\n',
-    ),
-    (
-        "TRACE001",
-        "repro/power/idle.py",
-        lambda text: text
-        + "\n\ndef _seeded_trace001():\n"
-        + "    from ..obs.trace import span\n\n"
-        + '    with span("seeded-unregistered"):\n'
-        + "        pass\n",
     ),
     (
         "FLOAT001",

@@ -58,6 +58,16 @@ class TestSpecExtraction:
         with pytest.raises(KeyError):
             stream_spec_from_scenario("no-such-scenario")
 
+    def test_captureless_scenario_refused_before_running(self, monkeypatch):
+        import repro.scenario.ports.sweeps as sweeps
+
+        def fail(*args, **kwargs):
+            pytest.fail("fig7's sweep ran before the scenario was refused")
+
+        monkeypatch.setattr(sweeps, "run_sweep", fail)
+        with pytest.raises(ValueError, match="cannot be streamed"):
+            stream_spec_from_scenario("fig7")
+
     def test_receivers_are_fresh_instances(self, covert_spec):
         a = covert_spec.make_receiver()
         b = covert_spec.make_receiver()

@@ -1,13 +1,12 @@
 """Span-registry conformance: every name in ``REGISTERED_SPANS`` is
 emitted by a real, test-exercised code path.
 
-The registry (``repro.obs.trace.REGISTERED_SPANS``) is the static half
-of the contract - lint rule TRACE001 rejects ``span("...")`` call sites
-whose name is not registered.  This module is the dynamic half: a
-registered name that no workload emits is dead weight (or a span the
-tests silently stopped covering), so the union of spans observed over
-one pass of each subsystem's smallest workload must equal the registry
-exactly, in both directions.
+The registry (``repro.obs.trace.REGISTERED_SPANS``) is enforced at the
+call: while tracing is on, ``span()`` raises for a name it does not
+hold.  This module checks the other direction too: a registered name
+that no workload emits is dead weight (or a span the tests silently
+stopped covering), so the union of spans observed over one pass of each
+subsystem's smallest workload must equal the registry exactly.
 """
 
 import numpy as np
@@ -130,7 +129,7 @@ def test_every_registered_span_is_emitted(observed_spans):
 
 
 def test_no_unregistered_span_is_emitted(observed_spans):
-    # The dynamic mirror of lint rule TRACE001: workloads only open
-    # spans the registry knows about.
+    # Workloads only open spans the registry knows about (span() would
+    # have raised otherwise).
     unregistered = observed_spans - REGISTERED_SPANS
     assert not unregistered, f"unregistered spans: {sorted(unregistered)}"

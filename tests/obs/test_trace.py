@@ -9,6 +9,7 @@ import pytest
 from repro.chain import render_emission
 from repro.exec.context import execution_scope
 from repro.obs.trace import (
+    REGISTERED_SPANS,
     collect_events,
     key_prefix,
     merge_events,
@@ -55,10 +56,10 @@ class TestTracerBasics:
         buf = io.StringIO()
         calls = []
         with tracing_scope(buf):
-            with span("work", {"cache": "miss"}, lazy=lambda: calls.append(1) or {"extra": 7}):
+            with span("pmu", {"cache": "miss"}, lazy=lambda: calls.append(1) or {"extra": 7}):
                 pass
         (event,) = _events(buf)
-        assert event["name"] == "work"
+        assert event["name"] == "pmu"
         assert event["cache"] == "miss"
         assert event["extra"] == 7
         assert event["duration_s"] >= 0
@@ -67,6 +68,19 @@ class TestTracerBasics:
     def test_span_lazy_not_called_when_off(self):
         with span("work", lazy=lambda: pytest.fail("must stay lazy")):
             pass
+
+    def test_unregistered_span_name_raises_only_when_tracing(self):
+        assert "not.registered" not in REGISTERED_SPANS
+        body = []
+        with span("not.registered"):  # tracing off: name never looked at
+            body.append("off")
+        buf = io.StringIO()
+        with tracing_scope(buf):
+            with pytest.raises(ValueError, match="not.registered"):
+                with span("not.registered"):
+                    body.append("on")
+        assert body == ["off"]
+        assert _events(buf) == []
 
     def test_numpy_values_coerced(self):
         buf = io.StringIO()
