@@ -48,17 +48,13 @@ from ..obs.metrics import (
 )
 from ..obs.trace import key_prefix, span, trace_event, tracing_active
 from ..power.pmu import PMU
+from ..sdr.frontend import downconvert
 from ..sdr.rtlsdr import RtlSdrV3
 from ..types import IQCapture
 from ..vrm.buck import BuckConverter
 from ..vrm.emission import EmissionModel
 from ..vrm.vid import VidInterface
-from .kernels import (
-    batched_bincount,
-    batched_convolve_full,
-    batched_decimate,
-    batched_mix,
-)
+from .kernels import batched_bincount, batched_convolve_full
 
 
 @dataclass
@@ -396,8 +392,9 @@ def _compute_emissions(nodes, dithers, bursts, cache) -> None:
 
 def _compute_captures(nodes, emissions, cache) -> None:
     """Digitise every pending capture node: noise and propagation per
-    node (sequential RNG), then grouped mix + decimation, then the AGC
-    and quantiser per node."""
+    node (sequential RNG), then one :func:`downconvert` per group of
+    rows sharing a local oscillator, then the AGC and quantiser per
+    node."""
     groups: Dict[tuple, list] = {}  # downconvert params -> [(node, row)]
     rngs: Dict[str, np.random.Generator] = {}
     sdrs: Dict[str, RtlSdrV3] = {}
@@ -415,13 +412,7 @@ def _compute_captures(nodes, emissions, cache) -> None:
             antenna_v = req.scenario.apply(wave, rf_rate, rng)
             tap_propagation(wave, antenna_v, req.scenario)
         sdr = RtlSdrV3(sample_rate=req.profile.sdr_sample_rate_hz)
-        factor = rf_rate / sdr.sample_rate
-        if abs(factor - round(factor)) > 1e-6:
-            raise ValueError(
-                f"input rate {rf_rate} is not an integer multiple of "
-                f"device rate {sdr.sample_rate}"
-            )
-        factor = int(round(factor))
+        factor = sdr.decimation_factor(rf_rate)
         center = tuned_frequency_hz(req.machine, req.profile)
         with stage("sdr"), _stage_span("sdr", k_capture, rng):
             # The SDR's only draw; mixing, decimation and the AGC are
@@ -434,36 +425,21 @@ def _compute_captures(nodes, emissions, cache) -> None:
         rngs[node.key] = rng
         sdrs[node.key] = sdr
         groups.setdefault(
-            (
-                noisy.size,
-                rf_rate,
-                center,
-                offset_hz,
-                factor,
-                sdr.sample_rate,
-            ),
-            [],
+            (noisy.size, rf_rate, center, offset_hz, factor), []
         ).append((node, noisy))
 
-    for (size, rf_rate, center, offset_hz, factor, out_rate), members in (
-        groups.items()
-    ):
-        # Chunk the group so the complex mixed stack stays bounded; row
-        # independence makes any chunking bit-identical.
-        per = max((64 << 20) // max(size * 48, 1), 1)
-        for lo in range(0, len(members), per):
-            chunk = members[lo : lo + per]
-            stack = np.stack([row for _, row in chunk])
-            baseband = batched_mix(stack, rf_rate, center, offset_hz)
-            baseband = batched_decimate(baseband, factor)
-            for row, (node, _) in zip(baseband, chunk):
-                sdr = sdrs[node.key]
-                rng = rngs[node.key]
-                quantised = sdr._agc_and_quantise(row, rng)
-                node.value = IQCapture(
-                    samples=quantised.astype(np.complex64),
-                    sample_rate=sdr.sample_rate,
-                    center_frequency=center,
-                )
-                node.exit_state = rng.bit_generator.state
-                tap_capture(node.value, sdr.bits)
+    for (_, rf_rate, center, offset_hz, factor), members in groups.items():
+        baseband = downconvert(
+            [row for _, row in members], rf_rate, center, offset_hz, factor
+        )
+        for row, (node, _) in zip(baseband, members):
+            sdr = sdrs[node.key]
+            rng = rngs[node.key]
+            quantised = sdr._agc_and_quantise(row, rng)
+            node.value = IQCapture(
+                samples=quantised.astype(np.complex64),
+                sample_rate=sdr.sample_rate,
+                center_frequency=center,
+            )
+            node.exit_state = rng.bit_generator.state
+            tap_capture(node.value, sdr.bits)

@@ -1,4 +1,4 @@
-"""Trial-major vectorized kernels for the hot chain stages.
+"""Trial-major vectorized kernels for the emission stages.
 
 Every kernel here is a *stacking* of its scalar counterpart: N
 independent trials' arrays are laid out trial-major (axis 0 = trial,
@@ -7,9 +7,9 @@ The win is not algorithmic - it is amortising FFT plans, window tables,
 filter taps and Python dispatch over the whole batch, exactly the
 population-major idiom the sweep's homogeneous trial groups expose.
 
-Bit-identity discipline (the non-negotiable from ISSUE 6): each kernel
-is only allowed transformations that are provably element-identical to
-the scalar path -
+Bit-identity discipline: each kernel is only allowed transformations
+that are provably element-identical to the scalar path, because the
+emitted float64 waveform is cached under ``k_emit`` -
 
 * ``scipy.signal.fftconvolve(stack, kern[None, :], axes=-1)`` computes
   each row with the same FFT length and the same complex arithmetic as
@@ -17,7 +17,11 @@ the scalar path -
 * a flattened offset ``np.bincount`` performs the identical in-order
   per-bin float accumulation as N separate bincounts.
 
-The receiver side's Eq. 1 envelope has its own kernel,
+The SDR front end is :func:`repro.sdr.frontend.downconvert`: mix,
+low-pass and decimate at the output rate, one row at a time.  It is
+held to a looser contract - within 1e-12 of the full-rate
+``fftconvolve(..., "same")[::factor]`` formula, and byte-identical
+quantised captures.  The receiver side's Eq. 1 envelope has
 :func:`repro.dsp.stft.band_energy`, shared with the batch, stream and
 fleet receivers.
 
@@ -117,63 +121,5 @@ def batched_convolve_full(
             )[:, :out_len]
     tap_batch_kernel(
         "convolve", stack.shape[0], stack.nbytes, time.perf_counter() - started
-    )
-    return out
-
-
-def batched_mix(
-    stack: np.ndarray,
-    sample_rate: float,
-    center_frequency: float,
-    oscillator_offset_hz: float,
-) -> np.ndarray:
-    """Row-wise :func:`repro.sdr.frontend.mix_to_baseband`.
-
-    All rows share (rate, LO frequency), so the local oscillator is
-    synthesised once and broadcast; ``float64 row * complex LO`` is the
-    identical per-element product as the scalar call.
-    """
-    if sample_rate <= 0:
-        raise ValueError("sample rate must be positive")
-    started = time.perf_counter()
-    with _kernel_span("mix", stack.shape[0], stack.nbytes):
-        n = np.arange(stack.shape[1])
-        lo_freq = center_frequency + oscillator_offset_hz
-        lo = np.exp(-2j * np.pi * lo_freq * n / sample_rate)
-        out = stack.astype(np.float64) * lo[None, :]
-    tap_batch_kernel(
-        "mix", stack.shape[0], stack.nbytes, time.perf_counter() - started
-    )
-    return out
-
-
-def batched_decimate(
-    stack: np.ndarray, factor: int, numtaps: int = 129
-) -> np.ndarray:
-    """Row-wise :func:`repro.sdr.frontend.decimate`.
-
-    One firwin design and one broadcast same-mode fftconvolve replace N
-    filter builds and N convolutions; each row's FFT length matches the
-    scalar call, so the filtered samples are bit-identical.
-    """
-    if factor < 1:
-        raise ValueError("decimation factor must be >= 1")
-    if factor == 1:
-        return stack
-    started = time.perf_counter()
-    taps = sps.firwin(numtaps, 0.8 / factor)
-    row_bytes = (stack.shape[1] + numtaps) * 32
-    out = np.empty(
-        (stack.shape[0], len(range(0, stack.shape[1], factor))),
-        dtype=complex,
-    )
-    with _kernel_span("decimate", stack.shape[0], stack.nbytes):
-        for lo, hi in _row_chunks(stack.shape[0], row_bytes):
-            filtered = sps.fftconvolve(
-                stack[lo:hi], taps[None, :], mode="same", axes=-1
-            )
-            out[lo:hi] = filtered[:, ::factor]
-    tap_batch_kernel(
-        "decimate", stack.shape[0], stack.nbytes, time.perf_counter() - started
     )
     return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
@@ -54,9 +54,6 @@ class LintConfig:
     #: Committed baseline of accepted findings (content fingerprints).
     baseline_path: str = "repro/lint/baseline.json"
 
-    #: Extra per-rule settings fixture tests may override.
-    extras: Tuple[Tuple[str, str], ...] = field(default=())
-
     def is_excluded(self, relpath: str) -> bool:
         for pattern in self.exclude:
             if pattern.endswith("/"):
@@ -73,17 +70,7 @@ DEFAULT_CONFIG = LintConfig()
 
 # -- pyproject loading -----------------------------------------------------
 
-_FIELD_TYPES = {f.name: f.type for f in fields(LintConfig)}
-
-
-def _coerce(name: str, value: Any) -> Any:
-    """Match pyproject values to the dataclass field shapes."""
-    if isinstance(value, list):
-        return tuple(
-            tuple(item) if isinstance(item, list) else item
-            for item in value
-        )
-    return value
+_FIELD_NAMES = {f.name for f in fields(LintConfig)}
 
 
 def _parse_toml_value(text: str) -> Any:
@@ -200,11 +187,12 @@ def load_config(
     if not section:
         return base
     # Unknown keys - including those of retired rules - are ignored, so
-    # older project files keep loading.
+    # older project files keep loading.  Arrays become tuples, the shape
+    # of every sequence field.
     overrides = {
-        name: _coerce(name, value)
+        name: tuple(value) if isinstance(value, list) else value
         for name, value in section.items()
-        if name in _FIELD_TYPES
+        if name in _FIELD_NAMES
     }
     if not overrides:
         return base

@@ -1,6 +1,6 @@
 """Software-defined radio substrate."""
 
-from .frontend import decimate, mix_to_baseband
+from .frontend import downconvert
 from .rtlsdr import RtlSdrV3
 
-__all__ = ["RtlSdrV3", "decimate", "mix_to_baseband"]
+__all__ = ["RtlSdrV3", "downconvert"]

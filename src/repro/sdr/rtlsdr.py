@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from ..types import IQCapture
-from .frontend import decimate, mix_to_baseband
+from .frontend import downconvert
 
 
 @dataclass
@@ -69,21 +69,14 @@ class RtlSdrV3:
             Tuned RF frequency in Hz.
         """
         rng = rng if rng is not None else np.random.default_rng(5)
-        factor = input_rate / self.sample_rate
-        if abs(factor - round(factor)) > 1e-6:
-            raise ValueError(
-                f"input rate {input_rate} is not an integer multiple of "
-                f"device rate {self.sample_rate}"
-            )
-        factor = int(round(factor))
+        factor = self.decimation_factor(input_rate)
         noisy = antenna_voltage + self.noise_floor * rng.standard_normal(
             antenna_voltage.size
         )
         offset_hz = center_frequency * self.ppm_error * 1e-6
-        baseband = mix_to_baseband(
-            noisy, input_rate, center_frequency, oscillator_offset_hz=offset_hz
+        (baseband,) = downconvert(
+            [noisy], input_rate, center_frequency, offset_hz, factor
         )
-        baseband = decimate(baseband, factor)
         quantised = self._agc_and_quantise(baseband, rng)
         return IQCapture(
             samples=quantised.astype(np.complex64),
@@ -91,11 +84,28 @@ class RtlSdrV3:
             center_frequency=center_frequency,
         )
 
+    def decimation_factor(self, input_rate: float) -> int:
+        """The integer ratio of ``input_rate`` to the device rate."""
+        factor = input_rate / self.sample_rate
+        if abs(factor - round(factor)) > 1e-6:
+            raise ValueError(
+                f"input rate {input_rate} is not an integer multiple of "
+                f"device rate {self.sample_rate}"
+            )
+        return int(round(factor))
+
     def _agc_and_quantise(
         self, baseband: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """Scale into the ADC range and round to the code grid."""
         rms = float(np.sqrt(np.mean(np.abs(baseband) ** 2)))
+        if baseband.size and not np.isfinite(rms):
+            # One NaN or inf antenna sample spreads through the filter
+            # into every IQ sample; refuse it rather than quantise NaN.
+            raise ValueError(
+                "baseband power is not finite: the antenna waveform "
+                "holds NaN or inf samples"
+            )
         if rms <= 0:
             rms = 1.0
         scale = self.agc_target / rms

@@ -4,7 +4,10 @@ Each batched kernel claims a provable equivalence to its scalar
 counterpart (same FFT sizes, same accumulation order).  These tests pin
 that claim with ``array_equal`` - not ``allclose`` - against the actual
 scalar code paths, including the chunked variants (chunking along the
-trial axis must be invisible).
+trial axis must be invisible).  The SDR front end,
+:func:`repro.sdr.frontend.downconvert`, is pinned the same way across
+the batch (a row's output is the one it gets alone) and to within
+1e-12 of the full-rate formula it replaces.
 """
 
 import numpy as np
@@ -12,13 +15,9 @@ import pytest
 from scipy import signal as sps
 
 import repro.batch.kernels as kernels_mod
-from repro.batch.kernels import (
-    batched_bincount,
-    batched_convolve_full,
-    batched_decimate,
-    batched_mix,
-)
-from repro.sdr.frontend import decimate, mix_to_baseband
+from repro.batch.kernels import batched_bincount, batched_convolve_full
+from repro.sdr.frontend import downconvert
+from tests.sdr.test_frontend import reference_downconvert
 
 
 @pytest.fixture
@@ -73,38 +72,46 @@ class TestBatchedMix:
     def test_matches_scalar_mix(self, rng):
         stack = rng.standard_normal((4, 512))
         rate, center, offset = 1e6, 2.5e5, 12.5
-        out = batched_mix(stack, rate, center, offset)
-        for row, raw in zip(out, stack):
-            ref = mix_to_baseband(raw, rate, center, oscillator_offset_hz=offset)
-            assert np.array_equal(row, ref)
+        out = downconvert(list(stack), rate, center, offset, 1)
+        ref = reference_downconvert(stack, rate, center, offset, 1)
+        assert np.array_equal(out, ref)
 
     def test_rejects_bad_rate(self, rng):
         with pytest.raises(ValueError, match="sample rate"):
-            batched_mix(rng.standard_normal((1, 8)), 0.0, 1.0, 0.0)
+            downconvert(list(rng.standard_normal((2, 8))), 0.0, 1.0, 0.0, 4)
 
 
 class TestBatchedDecimate:
     def test_matches_scalar_decimate(self, rng):
-        stack = (
-            rng.standard_normal((3, 1000)) + 1j * rng.standard_normal((3, 1000))
-        )
-        out = batched_decimate(stack, 4)
-        for row, raw in zip(out, stack):
-            assert np.array_equal(row, decimate(raw, 4))
+        stack = rng.standard_normal((3, 9999))
+        out = downconvert(list(stack), 1e6, 2.5e5, 12.5, 4)
+        ref = reference_downconvert(stack, 1e6, 2.5e5, 12.5, 4)
+        assert out.shape == ref.shape == (3, 2500)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_factor_one_is_identity(self, rng):
-        stack = rng.standard_normal((2, 64)) + 0j
-        assert batched_decimate(stack, 1) is stack
+        # Without decimation there is no low-pass: a tone far outside
+        # the factor-4 passband keeps its full (half-cosine) amplitude.
+        tone = np.cos(2 * np.pi * 4.5e5 * np.arange(4000) / 1e6)
+        out = downconvert([tone, tone], 1e6, 1e5, 0.0, 1)
+        assert out.shape == (2, 4000)
+        spectrum = np.abs(np.fft.fft(out[0])) / 4000
+        assert spectrum.max() == pytest.approx(0.5)
 
     def test_rejects_bad_factor(self, rng):
         with pytest.raises(ValueError, match="factor"):
-            batched_decimate(rng.standard_normal((1, 8)) + 0j, 0)
+            downconvert(list(rng.standard_normal((2, 8))), 1e6, 1e5, 0.0, 0)
 
-    def test_chunked_equals_unchunked(self, rng, monkeypatch):
-        stack = (
-            rng.standard_normal((5, 600)) + 1j * rng.standard_normal((5, 600))
-        )
-        whole = batched_decimate(stack, 3)
-        monkeypatch.setattr(kernels_mod, "CHUNK_BYTES", 1)
-        chunked = batched_decimate(stack, 3)
-        assert np.array_equal(whole, chunked)
+    def test_chunked_equals_unchunked(self, rng):
+        # A row's output is the one it gets alone, bit for bit.
+        stack = rng.standard_normal((5, 6000))
+        whole = downconvert(list(stack), 1e6, 1e5, 7.0, 3)
+        for row, raw in zip(whole, stack):
+            (alone,) = downconvert([raw], 1e6, 1e5, 7.0, 3)
+            assert np.array_equal(row, alone)
+
+    def test_row_order_does_not_matter(self, rng):
+        stack = rng.standard_normal((4, 6000))
+        forward = downconvert(list(stack), 1e6, 1e5, 7.0, 4)
+        backward = downconvert(list(stack[::-1]), 1e6, 1e5, 7.0, 4)
+        assert np.array_equal(forward, backward[::-1])

@@ -22,7 +22,6 @@ name = "fixture"
 [tool.repro.lint]
 wallclock_allowlist = ["repro/stamp.py"]
 float_eq_scopes = ["repro/num/"]
-extras = [["mode", "strict"]]
 
 [tool.other]
 unrelated = true
@@ -49,8 +48,6 @@ def test_pyproject_overrides_defaults(tmp_path):
     config = load_config(root)
     assert config.wallclock_allowlist == ("repro/stamp.py",)
     assert config.float_eq_scopes == ("repro/num/",)
-    # Nested arrays coerce to tuples of tuples.
-    assert config.extras == (("mode", "strict"),)
     # Untouched fields keep the built-in defaults.
     assert config.package == DEFAULT_CONFIG.package
     assert config.raw_write_allowlist == DEFAULT_CONFIG.raw_write_allowlist

@@ -24,6 +24,16 @@ class TestCapture:
         with pytest.raises(ValueError, match="integer multiple"):
             sdr.capture(np.zeros(100), 5e5, 1e5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_rejects_non_finite_input(self, bad):
+        # One bad sample would otherwise turn every IQ sample into NaN.
+        wave = tone_input(1.5e5, 9.6e5, n=4000)
+        wave[1234] = bad
+        sdr = RtlSdrV3(sample_rate=2.4e5)
+        with pytest.raises(ValueError, match="not finite"):
+            sdr.capture(wave, 9.6e5, 1.5e5, np.random.default_rng(0))
+
     def test_tone_recovered_at_expected_offset(self):
         sdr = RtlSdrV3(sample_rate=2.4e5, ppm_error=0.0, noise_floor=1e-6)
         wave = tone_input(1.7e5, 9.6e5)
