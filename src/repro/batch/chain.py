@@ -37,7 +37,6 @@ from ..chain import (
     _stage_span,
     tuned_frequency_hz,
 )
-from ..exec.timing import stage
 from ..obs.metrics import (
     get_metrics,
     tap_activity,
@@ -258,7 +257,7 @@ def _compute_bursts(nodes, cache) -> None:
             rng.bit_generator.state = state_after
             _stage_hit("pmu", req.keys.power, rng)
         else:
-            with stage("pmu"), _stage_span("pmu", k_power, rng):
+            with _stage_span("pmu", k_power, rng):
                 table = power_table(
                     req.machine, req.allow_c_states, req.allow_p_states
                 )
@@ -272,7 +271,7 @@ def _compute_bursts(nodes, cache) -> None:
                 cache.put(
                     req.keys.power, (power_trace, rng.bit_generator.state)
                 )
-        with stage("vrm"), _stage_span("vrm", k_burst, rng):
+        with _stage_span("vrm", k_burst, rng):
             table = power_table(
                 req.machine, req.allow_c_states, req.allow_p_states
             )
@@ -291,7 +290,7 @@ def _compute_dithers(nodes, bursts, cache) -> None:
         burst_node = bursts[req.keys.burst]
         rng = _generator(burst_node.exit_state)
         k_dither = node.key if cache is not None else None
-        with stage("dither"), _stage_span("dither", k_dither, rng):
+        with _stage_span("dither", k_dither, rng):
             node.value = req.vrm_dithering.apply(
                 burst_node.value, rng, time_scale=req.profile.time_scale
             )
@@ -320,7 +319,7 @@ def _compute_emissions(nodes, dithers, bursts, cache) -> None:
         if sample_rate <= 0:
             raise ValueError("sample rate must be positive")
         k_emit = node.key if cache is not None else None
-        with stage("emission"), span(
+        with span(
             "emission",
             {
                 "cache": "off" if k_emit is None else "miss",
@@ -406,15 +405,13 @@ def _compute_captures(nodes, emissions, cache) -> None:
         wave = emit_node.value
         k_capture = node.key if cache is not None else None
         rf_rate = req.profile.rf_sample_rate_hz
-        with stage("propagation"), _stage_span(
-            "propagation", k_capture, rng
-        ):
+        with _stage_span("propagation", k_capture, rng):
             antenna_v = req.scenario.apply(wave, rf_rate, rng)
             tap_propagation(wave, antenna_v, req.scenario)
         sdr = RtlSdrV3(sample_rate=req.profile.sdr_sample_rate_hz)
         factor = sdr.decimation_factor(rf_rate)
         center = tuned_frequency_hz(req.machine, req.profile)
-        with stage("sdr"), _stage_span("sdr", k_capture, rng):
+        with _stage_span("sdr", k_capture, rng):
             # The SDR's only draw; mixing, decimation and the AGC are
             # deterministic, so deferring them into the grouped kernels
             # leaves this span's RNG digest unchanged.
@@ -435,7 +432,7 @@ def _compute_captures(nodes, emissions, cache) -> None:
         for row, (node, _) in zip(baseband, members):
             sdr = sdrs[node.key]
             rng = rngs[node.key]
-            quantised = sdr._agc_and_quantise(row, rng)
+            quantised = sdr._agc_and_quantise(row)
             node.value = IQCapture(
                 samples=quantised.astype(np.complex64),
                 sample_rate=sdr.sample_rate,

@@ -29,13 +29,13 @@ Row independence also makes every kernel chunk-invariant, so stacks are
 processed in ~:data:`CHUNK_BYTES` blocks to bound peak memory without
 changing a single output bit.
 
-Observability: each kernel runs under a ``batch.kernel`` span and feeds
-the ``batch.kernel.*`` metrics (batch size, bytes moved, seconds).
+Observability: each kernel runs under a ``batch.kernel`` span, whose
+self time a span-time collector keys ``batch.kernel.<kernel>``, and
+feeds the ``batch.kernel.*`` metrics (calls, batch size, bytes moved).
 """
 
 from __future__ import annotations
 
-import time
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -89,16 +89,13 @@ def batched_bincount(
     ]
     if not flat_parts:
         return out
-    started = time.perf_counter()
     with _kernel_span("bincount", n, out.nbytes):
         flat_idx = np.concatenate(flat_parts)
         flat_dep = np.concatenate([d for d in deposits if d.size])
         out = np.bincount(
             flat_idx, weights=flat_dep, minlength=n * length
         ).reshape(n, length)
-    tap_batch_kernel(
-        "bincount", n, out.nbytes, time.perf_counter() - started
-    )
+    tap_batch_kernel("bincount", n, out.nbytes)
     return out
 
 
@@ -111,7 +108,6 @@ def batched_convolve_full(
     the wave length; broadcasting the kernel over the stacked rows uses
     the same FFT size per row, so each row is bit-identical.
     """
-    started = time.perf_counter()
     row_bytes = (stack.shape[1] + kernel.size) * 16
     out = np.empty((stack.shape[0], out_len))
     with _kernel_span("convolve", stack.shape[0], stack.nbytes):
@@ -119,7 +115,5 @@ def batched_convolve_full(
             out[lo:hi] = sps.fftconvolve(
                 stack[lo:hi], kernel[None, :], axes=-1
             )[:, :out_len]
-    tap_batch_kernel(
-        "convolve", stack.shape[0], stack.nbytes, time.perf_counter() - started
-    )
+    tap_batch_kernel("convolve", stack.shape[0], stack.nbytes)
     return out

@@ -1,5 +1,5 @@
 """Signal-processing substrate: STFT and the Eq. 1 envelope kernel,
-filters, detection, resampling.
+windows, the edge kernel, detection and terminal rendering.
 
 Callers import from the submodules (``repro.dsp.stft``,
 ``repro.dsp.filters``, ...); the package re-exports nothing, so

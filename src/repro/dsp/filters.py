@@ -1,29 +1,8 @@
-"""Small filtering helpers used across the receiver."""
+"""The receiver's edge-detection kernel."""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sps
-
-
-def moving_average(x: np.ndarray, length: int) -> np.ndarray:
-    """Centered moving average with edge-shrinking normalisation."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    if length == 1:
-        return np.asarray(x, dtype=float).copy()
-    kernel = np.ones(length)
-    num = np.convolve(x, kernel, mode="same")
-    den = np.convolve(np.ones(len(x)), kernel, mode="same")
-    return num / den
-
-
-def lowpass(x: np.ndarray, cutoff_rel: float, numtaps: int = 65) -> np.ndarray:
-    """Zero-delay FIR low-pass; ``cutoff_rel`` is relative to Nyquist."""
-    if not 0.0 < cutoff_rel < 1.0:
-        raise ValueError("cutoff must be in (0, 1)")
-    taps = sps.firwin(numtaps, cutoff_rel)
-    return sps.fftconvolve(x, taps, mode="same")
 
 
 def edge_kernel(length: int) -> np.ndarray:

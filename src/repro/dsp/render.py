@@ -1,16 +1,14 @@
-"""Terminal rendering of signals and spectrograms.
+"""Terminal rendering of signal lanes.
 
 The paper communicates its core observations through spectrograms
-(Figures 2 and 11).  These helpers render the same views as ASCII so
-experiments and examples can show them in a terminal and in logged
+(Figures 2 and 11).  :func:`ascii_lane` renders one band's energy over
+time as ASCII so examples can show it in a terminal and in logged
 reports, without any plotting dependency.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .stft import Spectrogram
 
 #: Intensity ramp used for all renderings (dark -> bright).
 LEVELS = " .:-=+*#%@"
@@ -40,44 +38,3 @@ def ascii_lane(
         levels = levels / max(levels.max(), 1e-12)
     levels = np.clip(levels, 0.0, 1.0)
     return "".join(LEVELS[int(v * (len(LEVELS) - 1))] for v in levels)
-
-
-def ascii_spectrogram(
-    spec: Spectrogram,
-    low_hz: float,
-    high_hz: float,
-    width: int = 72,
-    height: int = 12,
-    db_floor: float = -50.0,
-) -> str:
-    """A frequency-band spectrogram as multi-line ASCII art.
-
-    Rows are frequency (highest on top, like the paper's figures),
-    columns are time; intensity is log-magnitude clipped at
-    ``db_floor`` below the peak.
-    """
-    bins = spec.band_indices(low_hz, high_hz)
-    if bins.size == 0:
-        raise ValueError("no spectrogram bins in the requested band")
-    mags = spec.magnitudes[:, bins]
-    with np.errstate(divide="ignore"):
-        db = 20.0 * np.log10(np.maximum(mags, 1e-20))
-    db -= db.max()
-    db = np.clip(db, db_floor, 0.0)
-    intensity = (db - db_floor) / (-db_floor)
-    # Reduce to the requested raster.
-    n_rows = min(height, bins.size)
-    rows = np.array_split(np.arange(bins.size), n_rows)
-    lines = []
-    for row_bins in rows[::-1]:  # highest frequency on top
-        lane = intensity[:, row_bins].mean(axis=1)
-        lines.append(ascii_lane(lane, width=width, normalise=False))
-    freqs = spec.frequencies[bins]
-    header = f"{freqs.max():,.0f} Hz"
-    footer = f"{freqs.min():,.0f} Hz"
-    return "\n".join([header] + [f"|{line}|" for line in lines] + [footer])
-
-
-def sparkline(values: np.ndarray, width: int = 40) -> str:
-    """A compact single-line rendering (for table cells/notes)."""
-    return ascii_lane(values, width=width)

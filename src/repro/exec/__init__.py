@@ -1,6 +1,6 @@
-"""Execution subsystem: trial fan-out, chain caching, stage timing.
+"""Execution subsystem: trial fan-out, chain caching, executor choice.
 
-Three cooperating layers, shared by every harness that runs independent
+Four cooperating modules, shared by every harness that runs independent
 seed-controlled trials over the analog chain:
 
 * :mod:`repro.exec.context` - the process-wide :class:`ExecutionConfig`
@@ -15,9 +15,10 @@ seed-controlled trials over the analog chain:
 * :mod:`repro.exec.executor` - :func:`choose_executor` picks serial /
   batched-serial / processes from the job shape (task count, CPU
   budget) so callers state *what* to fan out, not *how*.
-* :mod:`repro.exec.timing` - per-stage wall-clock accounting that
-  survives the process boundary, so experiment reports can say where
-  their time went even when trials ran in workers.
+
+Where a run's time goes is recorded by :mod:`repro.obs.trace` spans;
+:func:`parallel_map` carries each worker's span times back to the
+parent's collector.
 """
 
 from .cache import ChainCache, fingerprint, get_chain_cache, reset_chain_cache
@@ -29,23 +30,18 @@ from .context import (
 )
 from .executor import ExecutorDecision, choose_executor, effective_cpus
 from .pool import parallel_map
-from .timing import collect_timings, merge_timings, record_stage, stage
 
 __all__ = [
     "ChainCache",
     "ExecutionConfig",
     "ExecutorDecision",
     "choose_executor",
-    "collect_timings",
     "effective_cpus",
     "execution_scope",
     "fingerprint",
     "get_chain_cache",
     "get_execution_config",
-    "merge_timings",
     "parallel_map",
-    "record_stage",
     "reset_chain_cache",
     "set_execution_config",
-    "stage",
 ]

@@ -20,7 +20,10 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 from ..obs.metrics import get_metrics, metrics_active, metrics_scope
 from ..obs.trace import (
     collect_events,
+    collect_span_times,
+    collecting_span_times,
     merge_events,
+    merge_span_times,
     span,
     trace_event,
     tracing_active,
@@ -31,7 +34,6 @@ from .context import (
     set_execution_config,
 )
 from .executor import effective_cpus
-from .timing import collect_timings, merge_timings
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -79,14 +81,21 @@ def _init_worker(config: ExecutionConfig) -> None:
 
 
 def _worker_call(
-    fn: Callable[[T], R], item: T, want_trace: bool, want_metrics: bool
+    fn: Callable[[T], R],
+    item: T,
+    want_trace: bool,
+    want_times: bool,
+    want_metrics: bool,
 ) -> Tuple[R, dict, List[dict], Optional[dict]]:
     # ContextVars don't cross the process boundary, so the parent tells
-    # each task whether to buffer events/metrics for merging on return.
+    # each task whether to buffer events, span times and metrics for
+    # merging on return.
+    times: dict = {}
     events: List[dict] = []
     snapshot: Optional[dict] = None
     with ExitStack() as stack:
-        timings = stack.enter_context(collect_timings())
+        if want_times:
+            times = stack.enter_context(collect_span_times())
         if want_trace:
             events = stack.enter_context(collect_events())
         registry = (
@@ -95,7 +104,7 @@ def _worker_call(
         result = fn(item)
     if registry is not None:
         snapshot = registry.snapshot()
-    return result, dict(timings), events, snapshot
+    return result, times, events, snapshot
 
 
 def parallel_map(
@@ -122,8 +131,9 @@ def parallel_map(
         payload dwarfs the compute a fork cannot pay for itself; see
         the degradation guard below.
 
-    Results are returned in input order.  Stage timings recorded inside
-    workers are merged into the caller's active collector.
+    Results are returned in input order.  Span times and events
+    recorded inside workers are merged into the caller's active
+    collector and sink.
 
     Single-CPU guard (BENCH_parallel.json pathology): when the host has
     one effective CPU, fork + pickle overhead cannot be hidden behind
@@ -184,18 +194,21 @@ def parallel_map(
         )
         return [fn(task) for task in tasks]
     want_trace = tracing_active()
+    want_times = collecting_span_times()
     want_metrics = metrics_active()
     with executor, span(
         "parallel_map", {"jobs": n_jobs, "tasks": len(tasks)}
     ):
         futures = [
-            executor.submit(_worker_call, fn, task, want_trace, want_metrics)
+            executor.submit(
+                _worker_call, fn, task, want_trace, want_times, want_metrics
+            )
             for task in tasks
         ]
         results: List[R] = []
         for future in futures:
-            result, timings, events, snapshot = future.result()
-            merge_timings(timings)
+            result, times, events, snapshot = future.result()
+            merge_span_times(times)
             if events:
                 merge_events(events)
             if snapshot is not None:

@@ -19,8 +19,6 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from ..exec.timing import format_timings
-
 
 @dataclass
 class ExperimentResult:
@@ -30,8 +28,9 @@ class ExperimentResult:
     title: str
     rows: List[dict]
     notes: List[str] = field(default_factory=list)
-    #: Wall-clock seconds per chain stage (pmu/vrm/emission/...), as
-    #: collected by the runner; includes time spent in worker processes.
+    #: Self seconds per span key (``pmu``, ``batch.kernel.convolve``,
+    #: ``sweep.trial``, ...), as collected by the runner; includes time
+    #: spent in worker processes.
     timings: Dict[str, float] = field(default_factory=dict)
     #: Flattened signal-quality metrics collected during the run
     #: (see :mod:`repro.obs.metrics`); filled in by the runner.
@@ -66,8 +65,6 @@ class ExperimentResult:
                 lines.append("  ".join(r[c].ljust(widths[c]) for c in cols))
         for note in self.notes:
             lines.append(f"note: {note}")
-        if self.timings:
-            lines.append(f"stage timings: {format_timings(self.timings)}")
         return "\n".join(lines)
 
 

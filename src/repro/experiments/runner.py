@@ -7,9 +7,8 @@ from contextlib import ExitStack
 from typing import Iterable, List, Optional
 
 from ..exec.context import execution_scope
-from ..exec.timing import collect_timings, format_timings
 from ..obs.metrics import flatten, metrics_scope
-from ..obs.trace import trace_event
+from ..obs.trace import collect_span_times, format_timings, trace_event
 from ..params import SimProfile
 from .common import (
     ExperimentResult,
@@ -63,14 +62,14 @@ def run_experiments(
                 "experiment", phase="start", experiment=eid, seed=seed_used
             )
             started = time.perf_counter()
-            with collect_timings() as timings, metrics_scope() as registry:
+            with collect_span_times() as times, metrics_scope() as registry:
                 if profile is None:
                     result = fn(quick=quick, seed=seed_used)
                 else:
                     result = fn(profile=profile, quick=quick, seed=seed_used)
             elapsed = time.perf_counter() - started
             snapshot = registry.snapshot()
-            result.timings = dict(timings)
+            result.timings = dict(times)
             result.metrics = flatten(snapshot)
             result.manifest = build_manifest(
                 experiment_id=eid,
@@ -98,11 +97,10 @@ def run_experiments(
             results.append(result)
             echo(result.render())
             summary = f"[{eid} finished in {elapsed:.1f}s"
-            stage_total = sum(timings.values())
-            if timings:
+            if times:
                 summary += (
-                    f"; {stage_total:.1f}s in chain stages "
-                    f"({format_timings(timings)})"
+                    f"; {sum(times.values()):.1f}s in spans "
+                    f"({format_timings(times)})"
                 )
             echo(summary + "]")
             echo("")

@@ -3,9 +3,11 @@
 Four cooperating modules that make the analog chain *inspectable* and
 its physics *guarded*:
 
-* :mod:`repro.obs.trace` - span-based structured tracing.  Every chain
-  stage, cache probe and pool event can emit a JSONL record; the CLI's
-  ``--trace FILE`` turns it on.  Free (one ContextVar read) when off.
+* :mod:`repro.obs.trace` - spans, the one timer.  Every chain stage,
+  kernel, cache probe and pool event can emit a JSONL record (the CLI's
+  ``--trace FILE``), and a span-time collector sums each span's self
+  time (the experiment runner's summary line).  Free (one ContextVar
+  read) when neither is installed.
 * :mod:`repro.obs.metrics` - counters/gauges/histograms plus taps at
   each chain stage recording signal-quality figures (duty cycle, burst
   rate, shed fraction, emission RMS, SNR, clipping, Y[n] contrast,
@@ -34,7 +36,6 @@ from .metrics import (
 from .trace import (
     Tracer,
     collect_events,
-    get_tracer,
     merge_events,
     rng_digest,
     span,
@@ -67,7 +68,6 @@ __all__ = sorted(
         "collect_events",
         "flatten",
         "get_metrics",
-        "get_tracer",
         "merge_events",
         "metrics_active",
         "metrics_scope",

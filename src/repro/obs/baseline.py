@@ -262,7 +262,7 @@ def run_scenario(name: str) -> Dict[str, float]:
     with execution_scope(jobs=1, cache_enabled=False):
         metrics = fn()
     # The batch.* instruments describe how trials were grouped into
-    # kernel calls (and their wall-clock seconds), not the physics.
+    # kernel calls, not the physics.
     return {k: v for k, v in metrics.items() if not k.startswith("batch.")}
 
 

@@ -2,7 +2,7 @@
 
 A manifest captures everything needed to re-run (and trust) one
 experiment: the configuration fingerprint, seeds, the simulation
-profile snapshot, execution settings, stage timings, the signal-quality
+profile snapshot, execution settings, span self times, the signal-quality
 metrics collected during the run, library versions, and schema tags.
 The experiment runner attaches one to every :class:`ExperimentResult`
 and writes it as JSON next to the experiment's output, so a reviewer

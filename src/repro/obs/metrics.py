@@ -16,7 +16,7 @@ registry.  The numbers feed three consumers:
 * cross-channel comparison against the related current/frequency
   side channels in PAPERS.md, which report the same kinds of figures.
 
-Like the timing collector, the registry lives in a ``ContextVar``;
+Like the span tracer, the registry lives in a ``ContextVar``;
 every tap is one ``get`` + ``None`` check when no registry is active,
 so the chain costs nothing extra in un-instrumented runs.  Worker
 processes snapshot their registry and the pool merges it into the
@@ -443,12 +443,10 @@ def tap_sweep(stats) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Batch-path taps (repro.batch / repro.exec.executor)
+# Batch-path taps (repro.batch)
 
 
-def tap_batch_kernel(
-    kernel: str, batch: int, bytes_moved: int, seconds: float
-) -> None:
+def tap_batch_kernel(kernel: str, batch: int, bytes_moved: int) -> None:
     """One trial-major kernel invocation: how much it fused and moved."""
     reg = _registry.get()
     if reg is None:
@@ -457,16 +455,6 @@ def tap_batch_kernel(
     reg.counter(f"batch.kernel.{kernel}.calls").inc()
     reg.histogram(f"batch.kernel.{kernel}.size").observe(float(batch))
     reg.counter(f"batch.kernel.{kernel}.bytes").inc(float(bytes_moved))
-    reg.histogram(f"batch.kernel.{kernel}.seconds").observe(seconds)
-
-
-def tap_batch_executor(decision) -> None:
-    """The adaptive executor's scheduling decision for one fan-out."""
-    reg = _registry.get()
-    if reg is None:
-        return
-    reg.counter(f"batch.executor.{decision.mode}").inc()
-    reg.gauge("batch.executor.jobs").set(float(decision.jobs))
 
 
 def tap_batch_run(trials: int, groups: int) -> None:

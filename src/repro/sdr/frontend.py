@@ -17,7 +17,6 @@ quantised captures it feeds are byte-identical to that formula's.
 
 from __future__ import annotations
 
-import time
 from typing import Sequence
 
 import numpy as np
@@ -63,7 +62,6 @@ def downconvert(
     size = rows[0].size if len(rows) else 0
     if any(row.size != size for row in rows):
         raise ValueError("rows must have equal length")
-    started = time.perf_counter()
     in_bytes = sum(row.nbytes for row in rows)
     with span(
         "batch.kernel",
@@ -79,9 +77,7 @@ def downconvert(
         elif out.shape[1]:
             for row, dest in zip(rows, out):
                 dest[:] = _folded_lowpass(row, lo, factor)
-    tap_batch_kernel(
-        "downconvert", len(rows), in_bytes, time.perf_counter() - started
-    )
+    tap_batch_kernel("downconvert", len(rows), in_bytes)
     return out
 
 

@@ -77,7 +77,7 @@ class RtlSdrV3:
         (baseband,) = downconvert(
             [noisy], input_rate, center_frequency, offset_hz, factor
         )
-        quantised = self._agc_and_quantise(baseband, rng)
+        quantised = self._agc_and_quantise(baseband)
         return IQCapture(
             samples=quantised.astype(np.complex64),
             sample_rate=self.sample_rate,
@@ -94,9 +94,7 @@ class RtlSdrV3:
             )
         return int(round(factor))
 
-    def _agc_and_quantise(
-        self, baseband: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
+    def _agc_and_quantise(self, baseband: np.ndarray) -> np.ndarray:
         """Scale into the ADC range and round to the code grid."""
         rms = float(np.sqrt(np.mean(np.abs(baseband) ** 2)))
         if baseband.size and not np.isfinite(rms):

@@ -25,13 +25,7 @@ from .receiver import (
 )
 from .ring import POLICIES, BufferFull, RingBuffer
 from .runner import StreamRunner, StreamRunResult, StreamStats
-from .source import (
-    CaptureChunkSource,
-    Chunk,
-    ChunkSource,
-    StreamMeta,
-    chain_chunk_source,
-)
+from .source import CaptureChunkSource, Chunk, ChunkSource, StreamMeta
 
 __all__ = [
     "BitEvent",
@@ -51,6 +45,5 @@ __all__ = [
     "StreamingReceiver",
     "StreamingSTFT",
     "advance_envelopes",
-    "chain_chunk_source",
     "streaming_envelope",
 ]

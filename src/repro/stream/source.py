@@ -159,30 +159,3 @@ class CaptureChunkSource(ChunkSource):
                 index=index,
                 arrival_s=nominal + jitter,
             )
-
-
-def chain_chunk_source(
-    machine,
-    activity,
-    scenario,
-    profile,
-    rng: np.random.Generator,
-    chunk_size: int,
-    jitter_rel: float = 0.0,
-    jitter_rng: Optional[np.random.Generator] = None,
-    **chain_kwargs,
-) -> CaptureChunkSource:
-    """Run the simulated analog chain and replay its capture chunked.
-
-    Thin adapter over :func:`repro.chain.render_capture`; the chain RNG
-    and the replay-jitter RNG are distinct so the emitted physics is
-    identical to a batch run of the same arguments.
-    """
-    from ..chain import render_capture
-
-    capture = render_capture(
-        machine, activity, scenario, profile, rng, **chain_kwargs
-    )
-    return CaptureChunkSource(
-        capture, chunk_size, jitter_rel=jitter_rel, rng=jitter_rng
-    )

@@ -1,54 +1,9 @@
-"""Tests for filtering helpers."""
+"""Tests for the edge kernel."""
 
 import numpy as np
 import pytest
 
-from repro.dsp.filters import edge_kernel, lowpass, moving_average
-
-
-class TestMovingAverage:
-    def test_constant_preserved(self):
-        x = np.full(50, 3.0)
-        assert np.allclose(moving_average(x, 7), 3.0)
-
-    def test_length_one_is_copy(self):
-        x = np.arange(5.0)
-        out = moving_average(x, 1)
-        assert np.array_equal(out, x)
-        out[0] = 99
-        assert x[0] == 0.0
-
-    def test_smooths_impulse(self):
-        x = np.zeros(21)
-        x[10] = 1.0
-        out = moving_average(x, 5)
-        assert out[10] == pytest.approx(0.2)
-
-    def test_edges_renormalised(self):
-        x = np.ones(10)
-        out = moving_average(x, 5)
-        assert out[0] == pytest.approx(1.0)
-
-    def test_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            moving_average(np.ones(5), 0)
-
-
-class TestLowpass:
-    def test_dc_preserved(self):
-        x = np.ones(500)
-        out = lowpass(x, 0.2)
-        assert out[100:-100].mean() == pytest.approx(1.0, rel=0.01)
-
-    def test_high_frequency_attenuated(self):
-        n = np.arange(2000)
-        x = np.cos(np.pi * 0.9 * n)
-        out = lowpass(x, 0.2)
-        assert np.abs(out[200:-200]).max() < 0.05
-
-    def test_rejects_bad_cutoff(self):
-        with pytest.raises(ValueError):
-            lowpass(np.ones(10), 1.5)
+from repro.dsp.filters import edge_kernel
 
 
 class TestEdgeKernel:

@@ -1,10 +1,8 @@
 """Tests for ASCII rendering helpers."""
 
 import numpy as np
-import pytest
 
-from repro.dsp.render import LEVELS, ascii_lane, ascii_spectrogram, sparkline
-from repro.dsp.stft import stft
+from repro.dsp.render import LEVELS, ascii_lane
 
 
 class TestAsciiLane:
@@ -32,35 +30,3 @@ class TestAsciiLane:
 
     def test_empty_input(self):
         assert ascii_lane(np.empty(0), 10) == " " * 10
-
-
-class TestAsciiSpectrogram:
-    def _spec(self):
-        fs = 8000.0
-        t = np.arange(4096) / fs
-        tone = np.exp(2j * np.pi * 1000.0 * t)
-        tone[: tone.size // 2] = 0
-        return stft(tone, fs, fft_size=128, hop=64)
-
-    def test_dimensions(self):
-        art = ascii_spectrogram(self._spec(), 500, 1500, width=30, height=4)
-        lines = art.split("\n")
-        assert len(lines) >= 4
-        assert all(len(line) == 32 for line in lines[1:-1])  # |...| framing
-
-    def test_tone_region_brighter_after_onset(self):
-        art = ascii_spectrogram(self._spec(), 900, 1100, width=30, height=1)
-        body = art.split("\n")[1].strip("|")
-        dark = sum(1 for c in body[:10] if c == " ")
-        bright = sum(1 for c in body[-10:] if c != " ")
-        assert dark > 5
-        assert bright > 5
-
-    def test_out_of_band_raises(self):
-        with pytest.raises(ValueError, match="bins"):
-            ascii_spectrogram(self._spec(), 50000, 60000)
-
-
-class TestSparkline:
-    def test_length(self):
-        assert len(sparkline(np.arange(100), width=12)) == 12

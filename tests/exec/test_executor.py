@@ -1,4 +1,4 @@
-"""The adaptive executor: the decision table and its trace/metric taps.
+"""The adaptive executor: the decision table and its trace event.
 
 The decision table (DESIGN.md §14) is the contract: callers state the
 job shape, the executor picks serial / batched-serial / processes.
@@ -9,7 +9,6 @@ import pytest
 
 import repro.exec.executor as ex_mod
 from repro.exec.executor import choose_executor, effective_cpus
-from repro.obs.metrics import metrics_scope, tap_batch_executor
 from repro.obs.trace import collect_events
 
 
@@ -65,13 +64,6 @@ class TestDecisionTable:
         assert traced[0]["cpus"] == 1
         assert traced[0]["tasks"] == 4
         assert traced[0]["reason"] == d.reason
-
-    def test_decision_feeds_metrics(self, monkeypatch):
-        _cpus(monkeypatch, 1)
-        with metrics_scope() as reg:
-            tap_batch_executor(choose_executor(4, jobs=4, batchable=True))
-        snap = reg.snapshot()
-        assert snap["batch.executor.batched-serial"]["value"] == 1.0
 
 
 class TestEffectiveCpus:

@@ -9,7 +9,12 @@ from repro.exec.context import (
     get_execution_config,
 )
 from repro.exec.pool import default_jobs, parallel_map, resolve_jobs
-from repro.exec.timing import collect_timings, format_timings, stage
+from repro.obs.trace import (
+    collect_events,
+    collect_span_times,
+    format_timings,
+    span,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -28,8 +33,9 @@ def _boom(x):
 
 
 def _timed_square(x):
-    with stage("square"):
-        return x * x
+    with span("sweep.trial"):
+        with span("pmu"):
+            return x * x
 
 
 def _read_jobs(_):
@@ -81,9 +87,10 @@ class TestParallelMap:
         assert parallel_map(_read_jobs, [0, 1], jobs=2) == [1, 1]
 
     def test_worker_timings_merged(self):
-        with collect_timings() as timings:
+        with collect_span_times() as times:
             parallel_map(_timed_square, [1, 2, 3], jobs=2)
-        assert timings.get("square", 0.0) > 0.0
+        assert times.get("pmu", 0.0) > 0.0
+        assert times.get("sweep.trial", 0.0) > 0.0
 
     def test_resolve_jobs_validation(self):
         with pytest.raises(ValueError):
@@ -96,16 +103,43 @@ class TestParallelMap:
 
 class TestTiming:
     def test_stage_records_into_collector(self):
-        with collect_timings() as timings:
-            with stage("x"):
+        with collect_span_times() as times:
+            with span("pmu"):
+                with span("vrm"):
+                    pass
+            with span("pmu"):
                 pass
-            with stage("x"):
-                pass
-        assert timings["x"] >= 0.0
+        assert set(times) == {"pmu", "vrm"}
+        assert all(seconds >= 0.0 for seconds in times.values())
 
     def test_stage_without_collector_is_noop(self):
-        with stage("orphan"):
+        with span("pmu"):
             pass  # must not raise
+
+    def test_parent_self_time_excludes_children(self):
+        with collect_events() as events, collect_span_times() as times:
+            with span("sweep.trial"):
+                with span("pmu"):
+                    sum(range(20000))
+                with span("vrm"):
+                    sum(range(20000))
+                sum(range(20000))
+        duration = {e["name"]: e["duration_s"] for e in events}
+        assert times["sweep.trial"] == pytest.approx(
+            duration["sweep.trial"] - duration["pmu"] - duration["vrm"],
+            abs=1e-5,
+        )
+        assert times["pmu"] == pytest.approx(duration["pmu"], abs=1e-6)
+        assert times["sweep.trial"] > 0.0
+
+    def test_parallel_map_merges_without_negative_entries(self):
+        with collect_span_times() as times:
+            with span("scenario.run"):
+                parallel_map(_timed_square, list(range(4)), jobs=2)
+        assert {"scenario.run", "parallel_map", "sweep.trial", "pmu"} <= set(
+            times
+        )
+        assert all(seconds >= 0.0 for seconds in times.values()), times
 
     def test_format_timings_sorted_by_cost(self):
         text = format_timings({"fast": 0.5, "slow": 2.0})

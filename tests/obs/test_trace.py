@@ -2,15 +2,19 @@
 
 import io
 import json
+import time
 
 import numpy as np
 import pytest
 
-from repro.chain import render_emission
+from repro.batch.chain import ChainRequest, render_captures_batched
+from repro.chain import capture_chain_keys, render_emission, tuned_frequency_hz
+from repro.em.environment import near_field_scenario
 from repro.exec.context import execution_scope
 from repro.obs.trace import (
     REGISTERED_SPANS,
     collect_events,
+    collect_span_times,
     key_prefix,
     merge_events,
     rng_digest,
@@ -100,6 +104,56 @@ class TestTracerBasics:
         assert rng_digest(np.random.default_rng(0)) == before
         rng.random()
         assert rng_digest(rng) != before
+
+
+class TestSpanTimesWithoutSink:
+    def test_lazy_and_point_events_need_a_sink(self):
+        with collect_span_times() as times:
+            assert not tracing_active()
+            with span("pmu", lazy=lambda: pytest.fail("must stay lazy")):
+                trace_event("ping", value=1)
+        assert set(times) == {"pmu"}
+
+    def test_unregistered_name_raises_under_collector(self):
+        with collect_span_times():
+            with pytest.raises(ValueError, match="not.registered"):
+                with span("not.registered"):
+                    pass
+
+    def test_kernel_spans_account_for_a_chain_render(self):
+        activity = ActivityTrace(
+            [Interval(0.001, 0.003), Interval(0.005, 0.0065)], duration=0.008
+        )
+        scenario = near_field_scenario(tuned_frequency_hz(DELL_INSPIRON, TINY))
+        requests = []
+        for seed in (1, 2):
+            rng = np.random.default_rng(seed)
+            entry_state = rng.bit_generator.state
+            requests.append(
+                ChainRequest(
+                    machine=DELL_INSPIRON,
+                    activity=activity,
+                    scenario=scenario,
+                    profile=TINY,
+                    allow_c_states=True,
+                    allow_p_states=True,
+                    vrm_dithering=None,
+                    keys=capture_chain_keys(
+                        DELL_INSPIRON, activity, scenario, TINY, rng
+                    ),
+                    entry_state=entry_state,
+                )
+            )
+        with execution_scope(jobs=1, cache_enabled=False):
+            with collect_span_times() as times:
+                started = time.perf_counter()
+                render_captures_batched(requests)
+                wall = time.perf_counter() - started
+        assert {"batch.kernel.convolve", "batch.kernel.downconvert"} <= set(
+            times
+        )
+        assert "batch.kernel" not in times
+        assert sum(times.values()) >= 0.8 * wall
 
 
 class TestWorkerMerging:
